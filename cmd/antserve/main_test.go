@@ -239,6 +239,8 @@ func TestSweepErrors(t *testing.T) {
 		{"unknown scenario", `{"scenarios": ["nope"], "ks": [1], "ds": [4], "trials": 1}`, http.StatusBadRequest},
 		{"zero k", `{"scenarios": ["known-k"], "ks": [0], "ds": [4], "trials": 1}`, http.StatusBadRequest},
 		{"negative D", `{"scenarios": ["known-k"], "ks": [1], "ds": [-4], "trials": 1}`, http.StatusBadRequest},
+		{"time cap too large for k", `{"scenarios": ["known-k"], "ks": [3], "ds": [4], "trials": 1,
+			"max_time": 4611686018427387904}`, http.StatusBadRequest},
 		{"explicit D with multiple Ds", `{"scenarios": ["known-d"], "ks": [1], "ds": [4, 8], "trials": 1,
 			"params": {"d": 4}}`, http.StatusBadRequest},
 		{"too many cells", `{"scenarios": ["known-k"], "ks": [1, 2], "ds": [4, 8], "trials": 1}`,

@@ -116,10 +116,7 @@ func (s *approxHedgeSearcher) nextSortie() (sortie, bool) {
 	// Ldexp(1, e) is exactly 2^e, the same value math.Pow(2, e) returns.
 	radius := clampRadius(math.Sqrt(math.Ldexp(1, s.stage) * c))
 	steps := clampSteps(math.Ldexp(1, s.stage+2))
-	return sortie{
-		target:      s.rng.UniformBallPoint(radius),
-		spiralSteps: steps,
-	}, true
+	return newSortie(s.rng.UniformBallPoint(radius), steps), true
 }
 
 // NextSegment implements agent.Searcher.

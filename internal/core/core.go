@@ -68,10 +68,20 @@ func clampRadius(v float64) int {
 
 // sortie describes one "go somewhere, search locally, come home" excursion:
 // the building block shared by all the paper's algorithms (basic procedures
-// 1–4 of Section 2).
+// 1–4 of Section 2). spiralEnd is grid.SpiralOffset(spiralSteps), the
+// spiral's end relative to the target: schedules with a fixed set of spiral
+// lengths (Uniform) look it up in a table, the others compute it per sortie
+// through newSortie.
 type sortie struct {
 	target      grid.Point
 	spiralSteps int
+	spiralEnd   grid.Point
+}
+
+// newSortie returns the sortie to target with a spiral of steps >= 0 steps,
+// computing the spiral's end offset.
+func newSortie(target grid.Point, steps int) sortie {
+	return sortie{target: target, spiralSteps: steps, spiralEnd: grid.SpiralOffset(steps)}
 }
 
 // sortieSource produces the parameters of an algorithm's next sortie, or
@@ -107,23 +117,26 @@ func (e *sortieEmitter) nextFrom(src sortieSource) (trajectory.Seg, bool) {
 	return seg, true
 }
 
-// expand fills the emitter with a sortie's explicit segments. Sorties whose
-// target is the source itself skip the (empty) walks, and sorties with a
-// zero-length spiral skip the spiral, so that engines never receive
-// zero-duration segments unless the whole sortie is degenerate.
+// expand fills the emitter's inline storage with a sortie's segments.
 func (e *sortieEmitter) expand(so sortie) {
-	e.head, e.n = 0, 0
+	e.head, e.n = 0, len(appendSortie(e.pending[:0], so))
+}
+
+// appendSortie appends a sortie's explicit segments (walk out, spiral, walk
+// back) to buf. Sorties whose target is the source itself skip the outbound
+// walk, and spirals that end at the source skip the return walk, so engines
+// never receive zero-duration walks; a degenerate sortie is a single
+// zero-length spiral, never zero segments.
+func appendSortie(buf []trajectory.Seg, so sortie) []trajectory.Seg {
 	if so.target != grid.Origin {
-		e.pending[e.n] = trajectory.WalkSeg(grid.Origin, so.target)
-		e.n++
+		buf = append(buf, trajectory.WalkSeg(grid.Origin, so.target))
 	}
-	spiral := trajectory.SpiralSearchSeg(so.target, so.spiralSteps)
-	e.pending[e.n] = spiral
-	e.n++
-	if spiral.End() != grid.Origin {
-		e.pending[e.n] = trajectory.WalkSeg(spiral.End(), grid.Origin)
-		e.n++
+	spiral := trajectory.SpiralSearchSegTo(so.target, so.spiralSteps, so.spiralEnd)
+	buf = append(buf, spiral)
+	if end := spiral.End(); end != grid.Origin {
+		buf = append(buf, trajectory.WalkSeg(end, grid.Origin))
 	}
+	return buf
 }
 
 // emitFrom is the batch counterpart of nextFrom and the shared body of the
@@ -142,15 +155,7 @@ func (e *sortieEmitter) emitFrom(src sortieSource, buf []trajectory.Seg) ([]traj
 	if !ok {
 		return buf, false
 	}
-	if so.target != grid.Origin {
-		buf = append(buf, trajectory.WalkSeg(grid.Origin, so.target))
-	}
-	spiral := trajectory.SpiralSearchSeg(so.target, so.spiralSteps)
-	buf = append(buf, spiral)
-	if spiral.End() != grid.Origin {
-		buf = append(buf, trajectory.WalkSeg(spiral.End(), grid.Origin))
-	}
-	return buf, true
+	return appendSortie(buf, so), true
 }
 
 // expandSortie converts a sortie into its explicit segments as a fresh slice.

@@ -458,7 +458,7 @@ func TestExpandSortie(t *testing.T) {
 
 	// A degenerate sortie at the source with no spiral still yields a single
 	// zero-length spiral segment (never zero segments).
-	segs := expandSortie(sortie{target: grid.Origin, spiralSteps: 0})
+	segs := expandSortie(newSortie(grid.Origin, 0))
 	if len(segs) != 1 {
 		t.Fatalf("degenerate sortie expands to %d segments, want 1", len(segs))
 	}
@@ -468,7 +468,7 @@ func TestExpandSortie(t *testing.T) {
 
 	// A normal sortie expands to walk-out, spiral, walk-home, all contiguous
 	// and ending at the source.
-	segs = expandSortie(sortie{target: grid.Point{X: 3, Y: 1}, spiralSteps: 10})
+	segs = expandSortie(newSortie(grid.Point{X: 3, Y: 1}, 10))
 	if len(segs) != 3 {
 		t.Fatalf("sortie expands to %d segments, want 3", len(segs))
 	}

@@ -101,10 +101,7 @@ func (a *Harmonic) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) 
 func (a *Harmonic) sortie(rng *xrand.Stream) sortie {
 	u := rng.HarmonicPoint(a.delta)
 	d := float64(u.L1())
-	return sortie{
-		target:      u,
-		spiralSteps: clampSteps(math.Pow(d, 2+a.delta)),
-	}
+	return newSortie(u, clampSteps(math.Pow(d, 2+a.delta)))
 }
 
 // HarmonicFactory returns a Factory for the (uniform) harmonic algorithm; it

@@ -72,10 +72,7 @@ func (s *knownKSearcher) nextSortie() (sortie, bool) {
 	// fraction of the cost; this runs once per sortie on the hot path.
 	radius := clampRadius(math.Ldexp(1, s.i))
 	steps := clampSteps(math.Ldexp(1, 2*s.i+2) / float64(s.k))
-	return sortie{
-		target:      s.rng.UniformBallPoint(radius),
-		spiralSteps: steps,
-	}, true
+	return newSortie(s.rng.UniformBallPoint(radius), steps), true
 }
 
 // NextSegment implements agent.Searcher.

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"antsearch/internal/agent"
+	"antsearch/internal/grid"
 	"antsearch/internal/trajectory"
 	"antsearch/internal/xrand"
 )
@@ -30,8 +32,65 @@ import (
 //
 // The paper writes j^(1+ε) with j starting at 0; as is standard, the j = 0
 // term is interpreted with max(j, 1), which changes no asymptotic statement.
+//
+// D_{i,j} and t_{i,j} depend only on (i, j, ε), so the sortie shapes of the
+// first uniformTableStages stages are computed once per Uniform, on its first
+// searcher, and shared read-only by all its searchers.
 type Uniform struct {
 	epsilon float64
+	// tableOnce guards table, built lazily so that a Uniform that never
+	// makes a searcher — a sweep grid expanded only to look its cells up in
+	// a cache — never pays for it.
+	tableOnce sync.Once
+	table     *uniformTable
+}
+
+// uniformTableStages is the number of stages i the precomputed schedule
+// covers. A search capped at the default 2^34 steps never gets past it;
+// later stages compute their sorties on the fly with the same function.
+const uniformTableStages = 32
+
+// uniformTable holds the sortie shape of every (i, j) with
+// j <= i < uniformTableStages, row-major: (i, j) sits at i(i+1)/2 + j.
+type uniformTable [uniformTableStages * (uniformTableStages + 1) / 2]uniformShape
+
+// uniformShape is the deterministic part of one uniform sortie: the radius
+// D_{i,j} of the ball the target is drawn from, that ball's node count, the
+// spiral length t_{i,j} and the spiral's end offset.
+type uniformShape struct {
+	radius, ballSize, steps int
+	spiralEnd               grid.Point
+}
+
+// uniformShapeAt is the one home of Algorithm 1's formulas:
+// D_{i,j} = sqrt(2^(i+j) / j^(1+ε)) and t_{i,j} = 2^(i+2) / j^(1+ε), with
+// j read as max(j, 1).
+func uniformShapeAt(i, j int, epsilon float64) uniformShape {
+	denom := math.Pow(math.Max(float64(j), 1), 1+epsilon)
+	// Ldexp(1, e) is exactly 2^e, the same value math.Pow(2, e) returns.
+	radius := clampRadius(math.Sqrt(math.Ldexp(1, i+j) / denom))
+	steps := clampSteps(math.Ldexp(1, i+2) / denom)
+	return uniformShape{
+		radius:    radius,
+		ballSize:  grid.BallSize(radius),
+		steps:     steps,
+		spiralEnd: grid.SpiralOffset(steps),
+	}
+}
+
+// schedule returns the algorithm's precomputed sortie table, building it on
+// first use.
+func (a *Uniform) schedule() *uniformTable {
+	a.tableOnce.Do(func() {
+		t := new(uniformTable)
+		for i := 0; i < uniformTableStages; i++ {
+			for j := 0; j <= i; j++ {
+				t[i*(i+1)/2+j] = uniformShapeAt(i, j, a.epsilon)
+			}
+		}
+		a.table = t
+	})
+	return a.table
 }
 
 // NewUniform returns the uniform algorithm with hedging exponent 1+epsilon.
@@ -66,6 +125,7 @@ func (a *Uniform) Name() string { return fmt.Sprintf("uniform(eps=%.2g)", a.epsi
 type uniformSearcher struct {
 	sortieEmitter
 	rng       *xrand.Stream
+	table     *uniformTable
 	epsilon   float64
 	ell, i, j int
 }
@@ -81,14 +141,18 @@ func (s *uniformSearcher) nextSortie() (sortie, bool) {
 			s.i = 0
 		}
 	}
-	jEff := math.Max(float64(s.j), 1)
-	denom := math.Pow(jEff, 1+s.epsilon)
-	// Ldexp(1, e) is exactly 2^e, the same value math.Pow(2, e) returns.
-	radius := clampRadius(math.Sqrt(math.Ldexp(1, s.i+s.j) / denom))
-	steps := clampSteps(math.Ldexp(1, s.i+2) / denom)
+	var sh uniformShape
+	if s.i < uniformTableStages {
+		sh = s.table[s.i*(s.i+1)/2+s.j]
+	} else {
+		sh = uniformShapeAt(s.i, s.j, s.epsilon)
+	}
+	// The same draw as rng.UniformBallPoint(sh.radius), with the ball size
+	// read from the table.
 	return sortie{
-		target:      s.rng.UniformBallPoint(radius),
-		spiralSteps: steps,
+		target:      grid.BallPoint(sh.radius, s.rng.IntN(sh.ballSize)),
+		spiralSteps: sh.steps,
+		spiralEnd:   sh.spiralEnd,
 	}, true
 }
 
@@ -102,12 +166,12 @@ func (s *uniformSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bo
 
 // NewSearcher implements agent.Algorithm.
 func (a *Uniform) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &uniformSearcher{rng: rng, epsilon: a.epsilon, j: -1}
+	return &uniformSearcher{rng: rng, table: a.schedule(), epsilon: a.epsilon, j: -1}
 }
 
 // ReuseSearcher implements agent.SearcherReuser.
 func (a *Uniform) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
-	return agent.ReuseOrNew(prev, uniformSearcher{rng: rng, epsilon: a.epsilon, j: -1})
+	return agent.ReuseOrNew(prev, uniformSearcher{rng: rng, table: a.schedule(), epsilon: a.epsilon, j: -1})
 }
 
 // UniformFactory returns a Factory for the uniform algorithm: the returned

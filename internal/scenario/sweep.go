@@ -233,6 +233,9 @@ func (g Grid) Cells() ([]Cell, error) {
 			if k < 1 {
 				return nil, fmt.Errorf("scenario: %q: k values must be >= 1, got %d", name, k)
 			}
+			if err := sim.ValidateMaxTime(k, g.MaxTime); err != nil {
+				return nil, fmt.Errorf("scenario: %q: %w", name, err)
+			}
 		}
 		for _, d := range ds {
 			if d < 1 {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -80,6 +81,14 @@ func TestGridCellsErrors(t *testing.T) {
 	}
 	if _, err := (Grid{Scenarios: []string{"known-k"}, Ks: []int{1}, Ds: []int{8}, Trials: 1, MaxTime: -1}).Cells(); err == nil {
 		t.Error("negative MaxTime should fail at expansion")
+	}
+	// The engine packs (elapsed, agent index) into one word, so a cap of
+	// 2^62 leaves no room for the two index bits k=3 needs.
+	if _, err := (Grid{Scenarios: []string{"known-k"}, Ks: []int{2, 3}, Ds: []int{8}, Trials: 1, MaxTime: 1 << 62}).Cells(); err == nil {
+		t.Error("MaxTime=2^62 with k=3 should fail at expansion")
+	}
+	if _, err := (Grid{Scenarios: []string{"known-k"}, Ks: []int{1, 2}, Ds: []int{8}, Trials: 1, MaxTime: math.MaxInt}).Cells(); err != nil {
+		t.Errorf("MaxTime=MaxInt with k<=2 should expand: %v", err)
 	}
 }
 

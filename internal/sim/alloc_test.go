@@ -4,17 +4,20 @@ package sim
 // is O(1) allocations per shard rather than per trial: agent slots, heap
 // storage, random streams and (through agent.SearcherReuser) searchers are
 // all reset in place between trials. These tests pin the amortized per-trial
-// allocation rate for a representative non-uniform (known-k) and uniform
-// one-shot (harmonic) cell, so a regression — a new per-segment box, a
-// searcher that stops being reusable, a stream that reallocates — fails
-// loudly here instead of surfacing as a slow drift in BENCH_sweep.json.
+// allocation rate for a representative non-uniform (known-k), uniform
+// (Algorithm 1) and uniform one-shot (harmonic) cell, so a regression — a new
+// per-segment box, a searcher that stops being reusable, a stream that
+// reallocates — fails loudly here instead of surfacing as a slow drift in
+// BENCH_sweep.json.
 
 import (
 	"context"
 	"testing"
 
 	"antsearch/internal/adversary"
+	"antsearch/internal/agent"
 	"antsearch/internal/core"
+	"antsearch/internal/xrand"
 )
 
 // allocsPerTrial measures the amortized allocations per trial of runShard on
@@ -58,6 +61,30 @@ func TestAllocsPerTrialKnownK(t *testing.T) {
 	}
 }
 
+func TestAllocsPerTrialUniform(t *testing.T) {
+	factory, err := core.UniformFactory(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := adversary.NewUniformRing(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrialConfig{
+		Factory:   factory,
+		NumAgents: 4,
+		Adversary: ring,
+		Trials:    64,
+		Seed:      3,
+	}
+	// The schedule table is built once per algorithm, on the warm-up shard,
+	// so it does not count against the steady state.
+	const budget = 4.0
+	if got := allocsPerTrial(t, cfg, 64); got > budget {
+		t.Errorf("uniform cell allocates %.2f times per trial, budget %.1f", got, budget)
+	}
+}
+
 func TestAllocsPerTrialHarmonic(t *testing.T) {
 	factory, err := core.HarmonicFactory(0.5)
 	if err != nil {
@@ -78,5 +105,30 @@ func TestAllocsPerTrialHarmonic(t *testing.T) {
 	const budget = 4.0
 	if got := allocsPerTrial(t, cfg, 64); got > budget {
 		t.Errorf("harmonic cell allocates %.2f times per trial, budget %.1f", got, budget)
+	}
+}
+
+// BenchmarkEngineUniformK16 measures one trial of the analytic engine on the
+// megacell shape: uniform ε=0.5, k=16, treasure on the D=32 ring. It times
+// emission, Seg.Scan and the heap without the shard's accumulator or the
+// fan-out (ns/op = ns per trial); each iteration is a fresh trial seed.
+func BenchmarkEngineUniformK16(b *testing.B) {
+	ring, err := adversary.NewUniformRing(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg := core.MustUniform(0.5)
+	var e engine
+	inst := Instance{Algorithm: alg, NumAgents: 16}
+	reuser := agent.SearcherReuser(alg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e.placeRNG.Reset(1, xrand.PathPlacement, uint64(n))
+		inst.Treasure = ring.Place(n, &e.placeRNG)
+		opts := Options{Seed: xrand.DeriveSeed(1, xrand.PathTrial, uint64(n))}
+		if _, err := e.runAnalytic(inst, opts, reuser); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -81,6 +81,9 @@ func (c TrialConfig) Validate() error {
 	if c.Trials < 1 {
 		return fmt.Errorf("sim: trial config needs at least one trial, got %d", c.Trials)
 	}
+	if err := ValidateMaxTime(c.NumAgents, c.MaxTime); err != nil {
+		return err
+	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return err

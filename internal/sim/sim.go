@@ -17,11 +17,11 @@
 //
 // The engines interleave the k agents by advancing, at every step, the agent
 // with the smallest elapsed time (a min-heap keyed on elapsed time and agent
-// index). That keeps the total work proportional to k times the answer: an
-// agent is never simulated past the moment some other agent is already known
-// to have found the treasure, and an individual agent that would never find
-// the treasure on its own (a coordinated agent assigned the wrong sector, a
-// one-shot searcher that missed) does not stall the run.
+// index, packed into one word). That keeps the total work proportional to k
+// times the answer: an agent is never simulated past the moment some other
+// agent is already known to have found the treasure, and an individual agent
+// that would never find the treasure on its own (a coordinated agent assigned
+// the wrong sector, a one-shot searcher that missed) does not stall the run.
 //
 // Time accounting follows Section 2 of the paper: traversing one edge costs
 // one unit, all agents start at the source at time zero and move
@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"antsearch/internal/agent"
 	"antsearch/internal/fault"
@@ -44,8 +45,35 @@ import (
 // DefaultMaxTime is the time cap applied when Options.MaxTime is zero. It is
 // deliberately generous: the cap exists to keep accidental non-terminating
 // configurations (for example a single random walker on the infinite grid)
-// from hanging, not to truncate legitimate runs.
+// from hanging, not to truncate legitimate runs. It fits the engine's packed
+// scheduling key for every k up to 2^29 (see ValidateMaxTime).
 const DefaultMaxTime = 1 << 34
+
+// keyShift is the number of low bits the packed heap key reserves for the
+// agent index: enough to hold k-1.
+func keyShift(numAgents int) uint {
+	return uint(bits.Len(uint(numAgents - 1)))
+}
+
+// ValidateMaxTime reports whether the time cap maxTime (0 or negative = the
+// default) fits the engines' scheduling key for numAgents agents. The engines
+// order agents by one word, elapsed<<shift | index with
+// shift = bits.Len(k-1), so elapsed times — which never exceed the cap —
+// must stay below 2^(64-shift). With k <= 2 every int cap fits; the default
+// cap fits every k up to 2^29.
+func ValidateMaxTime(numAgents, maxTime int) error {
+	if maxTime <= 0 {
+		maxTime = DefaultMaxTime
+	}
+	if numAgents < 1 {
+		return nil
+	}
+	if shift := keyShift(numAgents); bits.Len64(uint64(maxTime)) > 64-int(shift) {
+		return fmt.Errorf("sim: time cap %d is too large for %d agents: it must be below 2^%d",
+			maxTime, numAgents, 64-shift)
+	}
+	return nil
+}
 
 // Instance is one concrete search problem: an algorithm, the number of
 // identical agents executing it, and the treasure location.
@@ -117,8 +145,10 @@ type Result struct {
 	Found bool
 	// Time is the first-hit time if Found, and the cap otherwise.
 	Time int
-	// Finder is the index of the agent that found the treasure first
-	// (ties broken towards the smaller index), or -1.
+	// Finder is the index of the agent that found the treasure first, or
+	// -1. Among agents that reach it at the same time, the one whose hitting
+	// segment started earliest wins, and the smaller index breaks a tie on
+	// that (the order in which the engines advance agents).
 	Finder int
 	// Capped is true if the treasure was not found before the cap.
 	Capped bool
@@ -244,11 +274,11 @@ func agentError(idx int, err error) error {
 }
 
 // engine is the reusable state of the simulation loop: flat per-agent
-// storage, an index-based min-heap over it, and a scratch stream for treasure
-// placement. A fresh engine is ready to use (the zero value); reset prepares
-// it for a trial, reusing the agent and heap storage from the previous trial
-// of the same shard, so a shard of any number of trials performs O(1)
-// engine-level allocations in total. Engines are not safe for concurrent use;
+// storage, a min-heap of packed keys over it, and a scratch stream for
+// treasure placement. A fresh engine is ready to use (the zero value); reset
+// prepares it for a trial, reusing the agent and heap storage from the
+// previous trial of the same shard, so a shard of any number of trials
+// performs O(1) engine-level allocations in total. Engines are not safe for concurrent use;
 // the Monte-Carlo fan-out gives each shard its own.
 type engine struct {
 	agents []agentState
@@ -257,7 +287,21 @@ type engine struct {
 	// tie-break deterministically. (elapsed, idx) is a strict total order, so
 	// the sequence of advanced agents — and therefore every result — is
 	// independent of the heap's internal layout.
-	heap []heapKey
+	//
+	// Each entry packs the pair into one word, elapsed<<shift | idx, with
+	// shift = keyShift(k): the integer order of packed keys is exactly the
+	// (elapsed, idx) order, so a heap comparison is one integer compare over
+	// a small contiguous array instead of a two-field compare or a pointer
+	// chase into the much larger agentState structs. ValidateMaxTime keeps
+	// every elapsed time that reaches the heap (always below the cap) from
+	// overflowing the shift. Only the top entry can go stale (the engine loop
+	// advances only the top agent), and siftDown replaces it with the fresh
+	// key.
+	heap []uint64
+	// shift is keyShift(k) for the current trial; idxMask extracts the agent
+	// index from a packed key.
+	shift   uint
+	idxMask uint64
 	// placeRNG is the per-trial treasure-placement stream, reused across a
 	// shard's trials by runShard.
 	placeRNG xrand.Stream
@@ -267,59 +311,56 @@ type engine struct {
 	faultRNG xrand.Stream
 }
 
-// heapKey is one heap entry: the agent's elapsed time mirrored next to its
-// index, so heap comparisons read the small contiguous heap array instead of
-// chasing pointers into the much larger agentState structs. Only the top
-// entry's elapsed can go stale (the engine loop advances only the top agent),
-// and fixTop refreshes it before sifting.
-type heapKey struct {
-	elapsed int
-	idx     int32
+// key packs an agent's scheduling position into its heap key.
+func (e *engine) key(elapsed, idx int) uint64 {
+	return uint64(elapsed)<<e.shift | uint64(idx)
 }
 
-// keyLess is the heap order: (elapsed, idx) ascending.
-func keyLess(a, b heapKey) bool {
-	if a.elapsed != b.elapsed {
-		return a.elapsed < b.elapsed
-	}
-	return a.idx < b.idx
-}
-
-// siftDown restores the heap property below position i.
-func (e *engine) siftDown(i int) {
-	n := len(e.heap)
+// siftDown places key at the root of the heap, whose old root entry is being
+// replaced, and moves it down to restore the heap property. It carries a hole
+// down instead of swapping at each level: every level moves one child up and
+// key is written once, at its final position. Keys are distinct (they embed
+// the agent index), so the result is the layout a swap-based sift produces.
+func (e *engine) siftDown(key uint64) {
+	h := e.heap
+	i := 0
 	for {
 		l := 2*i + 1
-		if l >= n {
-			return
+		r := l + 1
+		if r >= len(h) {
+			// At most one child left: the bottom of the heap.
+			if l < len(h) && h[l] < key {
+				h[i] = h[l]
+				i = l
+			}
+			break
 		}
-		m := l
-		if r := l + 1; r < n && keyLess(e.heap[r], e.heap[l]) {
-			m = r
+		// Child selection is written so it compiles branch-free (SETcc for
+		// right, CMOV for min): which child is smaller is a coin flip the
+		// branch predictor cannot learn.
+		c, cr := h[l], h[r]
+		right := 0
+		if cr < c {
+			right = 1
 		}
-		if !keyLess(e.heap[m], e.heap[i]) {
-			return
+		c = min(c, cr)
+		if key < c {
+			break
 		}
-		e.heap[i], e.heap[m] = e.heap[m], e.heap[i]
-		i = m
+		h[i] = c
+		i = l + right
 	}
+	h[i] = key
 }
 
 // popTop removes the minimum agent from the heap.
 func (e *engine) popTop() {
 	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
+	last := e.heap[n]
 	e.heap = e.heap[:n]
-	if n > 1 {
-		e.siftDown(0)
+	if n > 0 {
+		e.siftDown(last)
 	}
-}
-
-// fixTop restores the heap property after the top agent's elapsed time grew
-// to the given value.
-func (e *engine) fixTop(elapsed int) {
-	e.heap[0].elapsed = elapsed
-	e.siftDown(0)
 }
 
 // reset prepares the engine for one trial: every agent back at the source at
@@ -338,10 +379,12 @@ func (e *engine) reset(in Instance, opts Options, reuser agent.SearcherReuser) {
 		// cannot hand an algorithm a searcher whose stream pointer refers to
 		// the previous slice's storage.
 		e.agents = make([]agentState, in.NumAgents)
-		e.heap = make([]heapKey, in.NumAgents)
+		e.heap = make([]uint64, in.NumAgents)
 	}
 	e.agents = e.agents[:in.NumAgents]
 	e.heap = e.heap[:in.NumAgents]
+	e.shift = keyShift(in.NumAgents)
+	e.idxMask = 1<<e.shift - 1
 	faulty := in.faulty()
 	for a := range e.agents {
 		st := &e.agents[a]
@@ -376,7 +419,7 @@ func (e *engine) reset(in Instance, opts Options, reuser agent.SearcherReuser) {
 			st.searcher = in.Algorithm.NewSearcher(&st.stream, a)
 		}
 		st.emitter, _ = st.searcher.(agent.SortieEmitter)
-		e.heap[a] = heapKey{elapsed: 0, idx: int32(a)}
+		e.heap[a] = e.key(0, a)
 	}
 }
 
@@ -413,6 +456,14 @@ func RunExact(in Instance, opts Options, visit func(agentIdx, t int, p grid.Poin
 	var e engine
 	reuser, _ := in.Algorithm.(agent.SearcherReuser)
 	return runLoop(&e, in, opts, reuser, exactAdvancer{visit: visit})
+}
+
+// validateRun checks an instance and its effective time cap before a run.
+func validateRun(in Instance, timeCap int) error {
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	return ValidateMaxTime(in.NumAgents, timeCap)
 }
 
 // initialResult seeds the Result for a run: capped at timeCap until some
@@ -471,8 +522,8 @@ func (e *engine) runAnalytic(in Instance, opts Options, reuser agent.SearcherReu
 //     heap is frozen during that inner loop, so the key the agent must stay
 //     ahead of — the smaller of the top's at most two children, which bounds
 //     the whole rest of the heap — is loop-invariant and hoisted out;
-//   - the (elapsed, idx) strict total order makes both the skip condition and
-//     the retire conditions exact, so the sequence of (agent, segment) steps —
+//   - the (elapsed, idx) strict total order — one packed integer per agent —
+//     makes both the skip condition and the retire conditions exact, so the sequence of (agent, segment) steps —
 //     and therefore every Result bit — is identical to the historical
 //     one-segment-per-heap-round loops this replaces.
 //
@@ -482,34 +533,33 @@ func (e *engine) runAnalytic(in Instance, opts Options, reuser agent.SearcherReu
 //
 //antlint:hotpath
 func runLoop[A advancer](e *engine, in Instance, opts Options, reuser agent.SearcherReuser, adv A) (Result, error) {
-	if err := in.Validate(); err != nil { //antlint:allow hotpath validation runs once before the loop and allocates only when rejecting the input
+	timeCap := opts.maxTime()
+	if err := validateRun(in, timeCap); err != nil { //antlint:allow hotpath validation runs once before the loop and allocates only when rejecting the input
 		return Result{}, err
 	}
-	timeCap := opts.maxTime()
 	res := initialResult(in, timeCap)
 
 	e.reset(in, opts, reuser) //antlint:allow hotpath per-run setup, not per-step: the one ReuseSearcher dispatch happens before the loop
 	best := timeCap
 	for len(e.heap) > 0 {
-		st := &e.agents[e.heap[0].idx]
+		st := &e.agents[e.heap[0]&e.idxMask]
 		if st.elapsed >= best {
 			// Every remaining agent is already past the best hit time (or
 			// the cap); nothing can improve the answer.
 			break
 		}
-		// (restElapsed, restIdx) is the smallest key among the other live
-		// agents — the point up to which the top agent may keep advancing
-		// without any heap operation. Those agents do not move while the top
-		// advances, so the bound is loop-invariant: the smaller of the top's
-		// at most two children bounds the whole rest of the heap. MaxInt
-		// means there are no other agents.
-		restElapsed, restIdx := math.MaxInt, int32(0)
+		// restKey is the smallest key among the other live agents — the
+		// point up to which the top agent may keep advancing without any heap
+		// operation. Those agents do not move while the top advances, so the
+		// bound is loop-invariant: the smaller of the top's at most two
+		// children bounds the whole rest of the heap. MaxUint64 means there
+		// are no other agents.
+		restKey := uint64(math.MaxUint64)
 		if n := len(e.heap); n > 1 {
-			m := e.heap[1]
-			if n > 2 && keyLess(e.heap[2], m) {
-				m = e.heap[2]
+			restKey = e.heap[1]
+			if n > 2 && e.heap[2] < restKey {
+				restKey = e.heap[2]
 			}
-			restElapsed, restIdx = m.elapsed, m.idx
 		}
 		for {
 			var outcome stepOutcome
@@ -537,8 +587,9 @@ func runLoop[A advancer](e *engine, in Instance, opts Options, reuser agent.Sear
 				e.popTop()
 				break
 			}
-			if st.elapsed > restElapsed || (st.elapsed == restElapsed && int32(st.idx) > restIdx) {
-				e.fixTop(st.elapsed)
+			// elapsed < best <= timeCap here, so the key cannot overflow.
+			if key := e.key(st.elapsed, st.idx); key > restKey {
+				e.siftDown(key)
 				break
 			}
 			// The top agent still precedes everyone else: the sift would be a

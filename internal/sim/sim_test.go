@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -235,6 +236,151 @@ func TestEnginesRejectDiscontinuousTrajectories(t *testing.T) {
 	}
 	if _, err := RunExact(inst, Options{}, nil); !errors.Is(err, ErrDiscontinuousTrajectory) {
 		t.Errorf("exact engine: got %v, want ErrDiscontinuousTrajectory", err)
+	}
+}
+
+// scriptAlgorithm hands agent i the fixed segment list script[i].
+type scriptAlgorithm [][]trajectory.Seg
+
+func (scriptAlgorithm) Name() string { return "script" }
+
+func (s scriptAlgorithm) NewSearcher(_ *xrand.Stream, idx int) agent.Searcher {
+	segs := s[idx]
+	return agent.SegmentFunc(func() (trajectory.Seg, bool) {
+		if len(segs) == 0 {
+			return trajectory.Seg{}, false
+		}
+		seg := segs[0]
+		segs = segs[1:]
+		return seg, true
+	})
+}
+
+// TestFinderTieRule pins which agent is credited when two agents reach the
+// treasure at the same time: the one whose hitting segment started earlier,
+// even though it has the larger index. Agent 0's final walk starts at 120,
+// agent 1's at 110, and both arrive at (30,0) at time 150.
+func TestFinderTieRule(t *testing.T) {
+	t.Parallel()
+
+	treasure := grid.Point{X: 30}
+	west := grid.Point{X: -10}
+	alg := scriptAlgorithm{
+		{trajectory.PauseSeg(grid.Origin, 120), trajectory.WalkSeg(grid.Origin, treasure)},
+		{trajectory.PauseSeg(grid.Origin, 100), trajectory.WalkSeg(grid.Origin, west), trajectory.WalkSeg(west, treasure)},
+	}
+	inst := Instance{Algorithm: alg, NumAgents: 2, Treasure: treasure}
+	run, err := Run(inst, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := RunExact(inst, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name string
+		res  Result
+	}{{"Run", run}, {"RunExact", exact}} {
+		if !r.res.Found || r.res.Time != 150 || r.res.Finder != 1 {
+			t.Errorf("%s: found=%v time=%d finder=%d, want found at 150 by agent 1",
+				r.name, r.res.Found, r.res.Time, r.res.Finder)
+		}
+	}
+}
+
+// TestValidateMaxTime pins the bound the packed heap key puts on the time
+// cap: elapsed<<bits.Len(k-1) | index must fit in 64 bits.
+func TestValidateMaxTime(t *testing.T) {
+	t.Parallel()
+
+	// k=3 needs two index bits, so 2^62 is one too many; both engines and
+	// MonteCarlo refuse it before simulating anything.
+	inst := Instance{Algorithm: core.MustKnownK(3), NumAgents: 3, Treasure: grid.Point{X: 4}}
+	if _, err := Run(inst, Options{MaxTime: 1 << 62}); err == nil {
+		t.Error("Run accepted MaxTime=2^62 with k=3")
+	}
+	if _, err := RunExact(inst, Options{MaxTime: 1 << 62}, nil); err == nil {
+		t.Error("RunExact accepted MaxTime=2^62 with k=3")
+	}
+	ring, err := adversary.NewUniformRing(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrialConfig{Factory: core.Factory(), NumAgents: 3, Adversary: ring, Trials: 1, MaxTime: 1 << 62}
+	if _, err := MonteCarlo(context.Background(), cfg); err == nil {
+		t.Error("MonteCarlo accepted MaxTime=2^62 with k=3")
+	}
+	if _, err := Run(inst, Options{MaxTime: 1<<62 - 1}); err != nil {
+		t.Errorf("Run rejected MaxTime=2^62-1 with k=3: %v", err)
+	}
+
+	// With k <= 2 the index needs at most one bit, so every int cap fits.
+	for _, k := range []int{1, 2} {
+		for _, c := range []int{1, 1 << 40, 1 << 62, math.MaxInt} {
+			if err := ValidateMaxTime(k, c); err != nil {
+				t.Errorf("k=%d cap=%d rejected: %v", k, c, err)
+			}
+		}
+		inst := Instance{Algorithm: core.MustKnownK(k), NumAgents: k, Treasure: grid.Point{X: 4}}
+		if res, err := Run(inst, Options{Seed: 1, MaxTime: math.MaxInt}); err != nil || !res.Found {
+			t.Errorf("k=%d with MaxTime=MaxInt: found=%v err=%v", k, res.Found, err)
+		}
+	}
+
+	// The default cap fits every k up to 2^28 (in fact 2^29), explicit or
+	// implied by zero.
+	for _, k := range []int{1, 2, 3, 16, 1 << 10, 1<<28 - 1, 1 << 28, 1 << 29} {
+		if err := ValidateMaxTime(k, 0); err != nil {
+			t.Errorf("default cap rejected for k=%d: %v", k, err)
+		}
+		if err := ValidateMaxTime(k, DefaultMaxTime); err != nil {
+			t.Errorf("DefaultMaxTime rejected for k=%d: %v", k, err)
+		}
+	}
+	if err := ValidateMaxTime(1<<29+1, 0); err == nil {
+		t.Error("default cap accepted for k=2^29+1, which needs 30 index bits")
+	}
+
+	// The bound is exact: 2^(64-shift) - 1 fits, 2^(64-shift) does not.
+	for _, k := range []int{3, 4, 5, 16, 17, 1 << 20} {
+		shift := bits.Len(uint(k - 1))
+		if err := ValidateMaxTime(k, 1<<(64-shift)-1); err != nil {
+			t.Errorf("k=%d: largest fitting cap rejected: %v", k, err)
+		}
+		if err := ValidateMaxTime(k, 1<<(64-shift)); err == nil {
+			t.Errorf("k=%d: cap 2^%d accepted", k, 64-shift)
+		}
+	}
+}
+
+// TestUniformPastScheduleTable runs uniform searches long enough to find the
+// treasure in stages 32–34, past core's precomputed schedule table, where
+// sorties are computed on the fly. The expected results were recorded on the
+// engine before the table existed.
+func TestUniformPastScheduleTable(t *testing.T) {
+	t.Parallel()
+
+	want := []struct {
+		seed   uint64
+		time   int
+		finder int
+	}{
+		{1, 223184399575, 1},
+		{2, 601840806629, 0},
+		{3, 442161870123, 0},
+		{4, 604243508547, 2},
+	}
+	inst := Instance{Algorithm: core.MustUniform(0.5), NumAgents: 3, Treasure: grid.Point{X: 150000, Y: 7}}
+	for _, w := range want {
+		res, err := Run(inst, Options{Seed: w.seed, MaxTime: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found || res.Time != w.time || res.Finder != w.finder {
+			t.Errorf("seed %d: found=%v time=%d finder=%d, want found at %d by agent %d",
+				w.seed, res.Found, res.Time, res.Finder, w.time, w.finder)
+		}
 	}
 }
 

@@ -66,7 +66,16 @@ func SpiralSearchSeg(centre grid.Point, steps int) Seg {
 	if steps < 0 {
 		steps = 0
 	}
-	return Seg{kind: KindSpiral, a: centre, b: centre.Add(grid.SpiralOffset(steps)), m: steps}
+	return SpiralSearchSegTo(centre, steps, grid.SpiralOffset(steps))
+}
+
+// SpiralSearchSegTo is SpiralSearchSeg for a caller that already knows the
+// spiral's end: endOffset must be grid.SpiralOffset(steps), which is not
+// rechecked, and steps must be non-negative. Schedules that repeat the same
+// spiral lengths precompute the offset once instead of paying for it on every
+// sortie.
+func SpiralSearchSegTo(centre grid.Point, steps int, endOffset grid.Point) Seg {
+	return Seg{kind: KindSpiral, a: centre, b: centre.Add(endOffset), m: steps}
 }
 
 // PauseSeg returns a pause of the given duration at the given node (negative
