@@ -263,9 +263,8 @@ func (t *Trace) RenderTrace(radius int, treasure Point) string {
 // EstimateTime estimates the expected time for k agents built by factory to
 // find a treasure placed uniformly at random at distance d, by running
 // independent trials in parallel through the streaming sweep engine: trials
-// are sharded over workers, aggregated by per-shard streaming accumulators
-// and merged deterministically, so memory stays bounded no matter how many
-// trials run.
+// are sharded over workers and added in trial order to one set of streaming
+// accumulators, so memory stays bounded no matter how many trials run.
 func EstimateTime(ctx context.Context, factory Factory, k, d int, opts ...Option) (Estimate, error) {
 	o := defaultOptions()
 	for _, apply := range opts {

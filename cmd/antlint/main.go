@@ -5,9 +5,9 @@
 //
 // By default it prints one line per finding in go-vet format and exits
 // non-zero when anything is found, so it slots directly into CI. With -json
-// or -sarif it instead emits a machine-readable report (stable, sorted —
-// CI turns the JSON into GitHub ::error annotations); with -fix it applies
-// the suggested fixes diagnostics carry before reporting what remains.
+// it instead emits a machine-readable report (stable, sorted — CI turns it
+// into GitHub ::error annotations); with -fix it applies the suggested fixes
+// diagnostics carry before reporting what remains.
 //
 // The suite enforces the engine's determinism contract (detrand, maporder,
 // rngpath), the wire-schema contracts (wiretag, codecver), the
@@ -32,10 +32,9 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON report on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	fix := flag.Bool("fix", false, "apply suggested fixes, then report what remains")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: antlint [-json|-sarif] [-fix] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: antlint [-json] [-fix] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n             "))
 		}
@@ -47,10 +46,6 @@ func main() {
 			fmt.Printf("%-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "antlint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -105,18 +100,12 @@ func main() {
 		findings[i].File = relToModule(moduleDir, findings[i].File)
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "antlint:", err)
 			os.Exit(2)
 		}
-	case *sarifOut:
-		if err := lint.WriteSARIF(os.Stdout, findings, lint.Analyzers); err != nil {
-			fmt.Fprintln(os.Stderr, "antlint:", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Println(f)
 		}

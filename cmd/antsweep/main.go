@@ -164,8 +164,9 @@ func runWith(args []string, out, errw io.Writer) error {
 	}
 
 	// Expand the (scenario × D × k) grid and run every cell through the
-	// streaming sweep engine: trials are sharded over workers and aggregated
-	// by per-shard accumulators, so memory stays flat however large -trials.
+	// streaming sweep engine: trials are sharded over workers and folded in
+	// order into one streaming accumulator, so memory stays flat however
+	// large -trials.
 	params := scenario.Params{
 		Epsilon: *eps, Delta: *delta, Rho: *rho, Mu: *mu,
 		CrashProb: *crashP, CrashBy: *crashBy,

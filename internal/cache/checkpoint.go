@@ -31,7 +31,7 @@ import (
 // state (sim's trialAccumulatorStateVersion, stats' binary codec) changes —
 // the state bytes are opaque here, so this version is the only load-time
 // guard against feeding a new decoder an old state.
-const CheckpointSchemaVersion = 1
+const CheckpointSchemaVersion = 2
 
 // maxCheckpointsPerCell bounds how many distinct prefixes the in-memory
 // index keeps per cell (the largest survive). One would suffice for

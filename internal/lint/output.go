@@ -1,8 +1,7 @@
 // This file renders findings machine-readably: a compact JSON report for CI
-// annotation pipelines and SARIF 2.1.0 for code-scanning UIs. Both formats
-// emit findings in the one canonical order (SortFindings) with stable key
-// order, so their output is golden-testable and diffs between runs are
-// semantic, never incidental.
+// annotation pipelines, emitted in the one canonical order (SortFindings)
+// with stable key order, so its output is golden-testable and diffs between
+// runs are semantic, never incidental.
 
 package lint
 
@@ -11,9 +10,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-	"strings"
-
-	"antsearch/internal/lint/analysis"
 )
 
 // jsonReport is the top-level -json document.
@@ -60,99 +56,6 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
-}
-
-// SARIF 2.1.0 skeleton — only the fields GitHub code scanning and the
-// schema's required set demand.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF writes the findings as a SARIF 2.1.0 log. The rule table lists
-// every analyzer in the given suite (found or not — the absence of results
-// under a listed rule is itself information), each with the first line of
-// its Doc.
-func WriteSARIF(w io.Writer, findings []Finding, analyzers []*analysis.Analyzer) error {
-	SortFindings(findings)
-	driver := sarifDriver{Name: "antlint"}
-	for _, a := range analyzers {
-		driver.Rules = append(driver.Rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifMessage{Text: strings.SplitN(a.Doc, "\n", 2)[0]},
-		})
-	}
-	run := sarifRun{Tool: sarifTool{Driver: driver}, Results: []sarifResult{}}
-	for _, f := range findings {
-		run.Results = append(run.Results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(f.File)},
-					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{run},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }
 
 // ApplyFixes applies every finding's suggested edits to the files on disk

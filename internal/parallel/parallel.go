@@ -104,32 +104,27 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	return out, nil
 }
 
-// ReduceOrdered runs fn(i) for every i in [0, n) with at most workers
-// goroutines and streams the results into merge in strict index order:
-// merge(v_0), merge(v_1), ... exactly as a sequential loop would, with merge
-// calls serialized (never concurrent with each other). Unlike Map it never
-// materializes all n results: at most O(workers) completed-but-unmerged
-// results are held at any moment, because workers claim indices in order and
-// a claim only proceeds while it is within a bounded window of the merge
-// frontier. The window cannot deadlock: the lowest unmerged index is always
-// already claimed, so its completion is what advances the frontier and
-// reopens the window.
+// ReduceOrderedFrom runs fn(i) for every i in the half-open index range
+// [start, n) with at most workers goroutines and streams the results into
+// merge in strict index order: merge(v_start), merge(v_start+1), ... exactly
+// as a sequential loop would, with merge calls serialized (never concurrent
+// with each other). Unlike Map it never materializes all results: at most
+// O(workers) completed-but-unmerged results are held at any moment, because
+// workers claim indices in order and a claim only proceeds while it is within
+// a bounded window of the merge frontier. The window cannot deadlock: the
+// lowest unmerged index is always already claimed, so its completion is what
+// advances the frontier and reopens the window.
+//
+// A start above zero serves resumable folds: a caller that restored the
+// aggregate of indices [0, start) from a checkpoint continues the identical
+// fold from start, and because merges stay serialized in index order the
+// combined result is the one an uninterrupted [0, n) fold would have
+// produced. start >= n is a no-op.
 //
 // Error semantics match ForEach: the first error in index order among tasks
 // that ran is returned, and merge has then been called for a contiguous
 // prefix of indices strictly below the failing one — callers that discard the
 // accumulator on error observe no difference from Map.
-func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T, error), merge func(v T)) error {
-	return ReduceOrderedFrom(ctx, 0, n, workers, fn, merge)
-}
-
-// ReduceOrderedFrom is ReduceOrdered over the half-open index range
-// [start, n): fn receives the true index, and merge is called for start,
-// start+1, ... in strict order. It exists for resumable folds — a caller that
-// restored the aggregate of indices [0, start) from a checkpoint continues
-// the identical fold from start, and because merges stay serialized in index
-// order the combined result is the one an uninterrupted [0, n) fold would
-// have produced. start >= n is a no-op.
 func ReduceOrderedFrom[T any](ctx context.Context, start, n, workers int, fn func(i int) (T, error), merge func(v T)) error {
 	if start < 0 {
 		start = 0

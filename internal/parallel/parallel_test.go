@@ -136,7 +136,7 @@ func TestReduceOrderedMergesInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		const n = 300
 		var got []int
-		err := ReduceOrdered(context.Background(), n, workers, func(i int) (int, error) {
+		err := ReduceOrderedFrom(context.Background(), 0, n, workers, func(i int) (int, error) {
 			// Skew the finish order: later indices tend to finish first.
 			if i%7 == 0 {
 				for j := 0; j < 1000; j++ {
@@ -169,7 +169,7 @@ func TestReduceOrderedBoundsInFlightResults(t *testing.T) {
 		workers = 4
 	)
 	var produced, merged, maxGap atomic.Int64
-	err := ReduceOrdered(context.Background(), n, workers, func(i int) (int, error) {
+	err := ReduceOrderedFrom(context.Background(), 0, n, workers, func(i int) (int, error) {
 		// Make index 0's chain slow so later results pile up against the
 		// window if the bound is broken.
 		if i%workers == 0 {
@@ -204,7 +204,7 @@ func TestReduceOrderedError(t *testing.T) {
 
 	sentinel := errors.New("shard failed")
 	var merged atomic.Int64
-	err := ReduceOrdered(context.Background(), 500, 4, func(i int) (int, error) {
+	err := ReduceOrderedFrom(context.Background(), 0, 500, 4, func(i int) (int, error) {
 		if i == 41 {
 			return 0, fmt.Errorf("task %d: %w", i, sentinel)
 		}
@@ -228,11 +228,11 @@ func TestReduceOrderedContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ReduceOrdered(ctx, 50, 4, func(i int) (int, error) { return i, nil }, func(int) {})
+	err := ReduceOrderedFrom(ctx, 0, 50, 4, func(i int) (int, error) { return i, nil }, func(int) {})
 	if err == nil {
 		t.Error("expected an error from the cancelled context")
 	}
-	if err := ReduceOrdered(context.Background(), 0, 4, func(i int) (int, error) { return i, nil }, func(int) {}); err != nil {
+	if err := ReduceOrderedFrom(context.Background(), 0, 0, 4, func(i int) (int, error) { return i, nil }, func(int) {}); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
 }
@@ -331,7 +331,7 @@ func TestReduceOrderedFromMatchesSequentialSplit(t *testing.T) {
 		return s
 	}
 	var full []int
-	if err := ReduceOrdered(context.Background(), n, 5, func(i int) (int, error) { return i * i, nil },
+	if err := ReduceOrderedFrom(context.Background(), 0, n, 5, func(i int) (int, error) { return i * i, nil },
 		func(v int) { full = append(full, v) }); err != nil {
 		t.Fatal(err)
 	}

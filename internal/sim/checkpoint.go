@@ -1,9 +1,9 @@
 // This file holds the checkpoint/resume and progress surface of the
-// Monte-Carlo engine. A giant cell folds its shards in strict order
-// (parallel.ReduceOrdered), so the running TrialAccumulator after shard j is
-// a pure function of trials [0, hi_j) — which makes it safe to persist: a
-// crashed run restored from that state and folded over the remaining shards
-// (parallel.ReduceOrderedFrom) finishes with aggregates bit-identical to an
+// Monte-Carlo engine. A giant cell adds its trials to the running
+// TrialAccumulator in strict trial order (parallel.ReduceOrderedFrom), so the
+// total after shard j is a pure function of trials [0, hi_j) — which makes it
+// safe to persist: a crashed run restored from that state and folded over the
+// remaining shards finishes with aggregates bit-identical to an
 // uninterrupted run. The serialized state is the accumulator's complete
 // internal representation (stats/binary.go), floats as raw IEEE-754 bits,
 // never a lossy summary.
@@ -18,8 +18,8 @@ import (
 )
 
 // Progress reports how far a MonteCarlo fold has advanced. It is delivered
-// through TrialConfig.Progress after a shard's aggregate has been merged into
-// the running total, always from the single goroutine that serializes merges
+// through TrialConfig.Progress after a shard's results have been added to the
+// running total, always from the single goroutine that serializes merges
 // — callbacks never race each other for one run.
 type Progress struct {
 	// ShardsDone and TotalShards count planned shards; ShardsDone includes
@@ -69,22 +69,24 @@ type Checkpointer interface {
 }
 
 // DefaultCheckpointEvery is the shard interval between persisted checkpoints
-// when TrialConfig.CheckpointEvery is zero: with the planner's <= 1024-trial
-// shards, a checkpoint lands at most every 64k trials — frequent enough that
-// a crash rarely loses more than a few seconds of work, rare enough that the
-// serialized state writes stay invisible next to the trials themselves.
+// when TrialConfig.CheckpointEvery is zero: with the planner's
+// <= maxShardTrials-trial shards, a checkpoint lands at most every 64k
+// trials — frequent enough that a crash rarely loses more than a few seconds
+// of work, rare enough that the serialized state writes stay invisible next
+// to the trials themselves.
 const DefaultCheckpointEvery = 64
 
 // trialAccumulatorStateVersion guards the serialized TrialAccumulator wire
-// form; bump it whenever the accumulator gains, loses or reorders state.
-const trialAccumulatorStateVersion = 1
+// form; bump it whenever the accumulator gains, loses or reorders state. A
+// state of any other version is rejected, so its run recomputes from trial 0.
+const trialAccumulatorStateVersion = 2
 
 // MarshalBinary serializes the accumulator's complete internal state: counts,
-// the five Welford accumulators (replay logs included) and both quantile
-// sketches. The encoding is length-prefixed and versioned, floats travel as
-// raw IEEE-754 bits, and UnmarshalBinary restores a bit-identical
-// accumulator: folding further shards into the restored value produces
-// exactly the aggregates the original would have produced.
+// the five Welford accumulators and both quantile sketches. The encoding is
+// length-prefixed and versioned, floats travel as raw IEEE-754 bits, and
+// UnmarshalBinary restores a bit-identical accumulator: folding further
+// shards into the restored value produces exactly the aggregates the
+// original would have produced.
 func (a *TrialAccumulator) MarshalBinary() ([]byte, error) {
 	b := make([]byte, 0, 1024)
 	b = append(b, trialAccumulatorStateVersion)
@@ -103,7 +105,9 @@ func (a *TrialAccumulator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores the state serialized by MarshalBinary. It rejects
 // unknown versions, truncated or trailing bytes, and internally inconsistent
-// states; on error the receiver is left unchanged.
+// states — including counts that disagree across fields, since Add feeds
+// allTime, survivors and times once per trial and time and foundTimes once
+// per found trial; on error the receiver is left unchanged.
 func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 	if len(data) < 1 || data[0] != trialAccumulatorStateVersion {
 		return fmt.Errorf("sim: unknown trial-accumulator state version")
@@ -135,6 +139,12 @@ func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("sim: inconsistent trial-accumulator state (trials=%d, found=%d, capped=%d)",
 			dec.trials, dec.found, dec.capped)
 	}
+	if dec.allTime.N() != dec.trials || dec.survivors.N() != dec.trials || dec.times.N() != dec.trials ||
+		dec.time.N() != dec.found || dec.foundTimes.N() != dec.found ||
+		dec.ratio.N() > dec.trials || dec.survivorRatio.N() > dec.trials {
+		return fmt.Errorf("sim: trial-accumulator state counts disagree (trials=%d, found=%d)",
+			dec.trials, dec.found)
+	}
 	*a = dec
 	return nil
 }
@@ -144,9 +154,8 @@ func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 // [0, trialsDone) are precisely shards [0, s) — or -1 when trialsDone is not
 // a boundary of this plan. A checkpoint written under a different plan (a
 // different worker count) resumes if and only if its prefix aligns with a
-// boundary of the current plan; the aggregate itself is partition-blind (all
-// planned shards fit the replay window), so an aligned resume stays
-// bit-identical even across plans.
+// boundary of the current plan; the fold itself is sequential, so an aligned
+// resume stays bit-identical even across plans.
 func alignShard(trials, shards, trialsDone int) int {
 	if trialsDone <= 0 || trialsDone > trials {
 		return -1

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -142,6 +145,84 @@ func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 		if err := b.UnmarshalBinary(data); err == nil {
 			t.Errorf("%s: UnmarshalBinary accepted damaged state", name)
 		}
+	}
+}
+
+// TestTrialAccumulatorUnmarshalRejectsInconsistentCounts pins the
+// cross-field check: every field decodes on its own, but a state whose counts
+// disagree with each other cannot have come from Add and must be rejected.
+func TestTrialAccumulatorUnmarshalRejectsInconsistentCounts(t *testing.T) {
+	t.Parallel()
+
+	a := NewTrialAccumulator(2, 8)
+	for i := 0; i < 10; i++ {
+		a.Add(Result{Found: i%3 != 0, Capped: i%3 == 0, Time: i + 1, Survivors: 2, Distance: 8, LowerBound: 40})
+	}
+	good, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header is the version byte followed by numAgents, distance,
+	// trials, found and capped, eight bytes each.
+	patch := func(field, v int) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[1+8*field:], uint64(v))
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"trials raised": patch(2, 20),
+		"trials cut":    patch(2, 8),
+		"found raised":  patch(3, 7),
+		"found cut":     patch(3, 5),
+	} {
+		b := new(TrialAccumulator)
+		if err := b.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: accepted trials=%d found=%d over allTime.N=%d time.N=%d",
+				name, b.trials, b.found, b.allTime.N(), b.time.N())
+		}
+	}
+	if err := new(TrialAccumulator).UnmarshalBinary(good); err != nil {
+		t.Fatalf("consistent state rejected: %v", err)
+	}
+}
+
+// TestMonteCarloRecomputesVersion1Checkpoint pins the codec bump: a state
+// written by the version-1 codec (which carried replay logs) is rejected, so
+// a run finding one resumes nothing and recomputes from trial 0 with the
+// uninterrupted result. The fixture is a genuine version-1 checkpoint of this
+// configuration after its first shard (trials [0, 32) of 64, two shards).
+func TestMonteCarloRecomputesVersion1Checkpoint(t *testing.T) {
+	t.Parallel()
+
+	state, err := os.ReadFile(filepath.Join("testdata", "trial_accumulator_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state) == 0 || state[0] != 1 {
+		t.Fatalf("fixture is not a version-1 state")
+	}
+	if err := new(TrialAccumulator).UnmarshalBinary(state); err == nil {
+		t.Fatal("version-1 state decoded")
+	}
+	ref, err := MonteCarlo(context.Background(), checkpointTestConfig(t, 64, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := checkpointTestConfig(t, 64, 2)
+	cfg.Checkpointer = &memCheckpointer{saved: []CheckpointState{{
+		ShardsDone: 1, TotalShards: 2, TrialsDone: 32, TotalTrials: 64, State: state,
+	}}}
+	resumed := -1
+	cfg.Progress = func(p Progress) { resumed = p.ResumedShards }
+	st, err := MonteCarlo(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 0 {
+		t.Errorf("resumed %d shards from a version-1 checkpoint", resumed)
+	}
+	if statsJSON(t, st) != statsJSON(t, ref) {
+		t.Fatal("run with a version-1 checkpoint differs from a fresh run")
 	}
 }
 

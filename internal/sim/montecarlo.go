@@ -54,8 +54,9 @@ type TrialConfig struct {
 	// aggregate is persisted every CheckpointEvery shards, and on start the
 	// longest valid persisted prefix seeds the fold so only the remaining
 	// shards are computed. Resumed runs finish with aggregates bit-identical
-	// to uninterrupted ones (the ordered replay merge makes the prefix state
-	// a pure function of the trial prefix). Save failures never fail the run.
+	// to uninterrupted ones (the fold adds trials in trial order, so the
+	// prefix state is a pure function of the trial prefix). Save failures
+	// never fail the run.
 	Checkpointer Checkpointer
 	// CheckpointEvery is the shard interval between persisted checkpoints
 	// (0 = DefaultCheckpointEvery; meaningful only with a Checkpointer).
@@ -176,9 +177,9 @@ func (s TrialStats) LowerBound() float64 {
 }
 
 // TrialAccumulator folds per-trial results into streaming statistics in
-// bounded memory. Accumulators merge deterministically (Merge), which is how
-// the sweep engine combines per-shard partial aggregates. The zero value is
-// not usable; construct with NewTrialAccumulator.
+// bounded memory. The sweep engine adds every trial to one running
+// accumulator in trial order. The zero value is not usable; construct with
+// NewTrialAccumulator.
 //
 //antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes encode=MarshalBinary decode=UnmarshalBinary
 type TrialAccumulator struct {
@@ -209,19 +210,6 @@ func NewTrialAccumulator(numAgents, distance int) *TrialAccumulator {
 	}
 }
 
-// DisableReplay stops the accumulator's Welford halves from recording replay
-// logs. The shard planner never produces a shard past stats.MergeReplayCap,
-// so the sweep engine does not need it; it remains for callers that fold more
-// than the cap into one accumulator, where the logs would go incomplete and
-// never be replayed. Must be called before the first Add.
-func (a *TrialAccumulator) DisableReplay() {
-	a.time.DisableReplay()
-	a.allTime.DisableReplay()
-	a.ratio.DisableReplay()
-	a.survivors.DisableReplay()
-	a.survivorRatio.DisableReplay()
-}
-
 // Add incorporates one trial result.
 func (a *TrialAccumulator) Add(r Result) {
 	a.trials++
@@ -249,15 +237,11 @@ func (a *TrialAccumulator) Add(r Result) {
 	a.times.Add(float64(r.Time))
 }
 
-// Merge folds another accumulator into a. Merging shard accumulators in
-// shard order reproduces sequential accumulation exactly for counts, min and
-// max at any scale, and bit-identically for means, variances and quantile
-// state whenever every merged-in shard holds at most stats.MergeReplayCap
-// trials (the planner's guarantee): within that window the underlying
-// accumulators and sketches replay their observations in trial order, so the
-// result depends only on the trial sequence, never on where it was cut.
-// Oversized shards fall back to the summary-formula merge, which stays
-// deterministic but partition-dependent in the last bits.
+// Merge folds another accumulator into a, as if every trial added to b had
+// been added to a. Counts, extremes and exact-mode quantiles are exact; the
+// means and variances use the summary-formula merge of stats.Accumulator, so
+// the result is deterministic but depends on the partition in the last bits.
+// The sweep engine does not merge: it adds each trial to the running total.
 func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
 	a.trials += b.trials
 	a.found += b.found
@@ -290,10 +274,14 @@ func (a *TrialAccumulator) Stats() TrialStats {
 }
 
 // minShardTrials is the smallest batch of trials worth scheduling as an
-// independent shard: below it the per-shard fixed costs (accumulator
-// construction, engine pool round-trip, task claim) dominate the trials
-// themselves.
+// independent shard: below it the per-shard fixed costs (result slice, engine
+// pool round-trip, task claim) dominate the trials themselves.
 const minShardTrials = 8
+
+// maxShardTrials bounds every planned shard, and so the result slice a shard
+// hands to the ordered reducer: with O(workers) shards in flight, memory stays
+// independent of the trial count.
+const maxShardTrials = 1024
 
 // shardRange returns the half-open trial range [lo, hi) of shard s when
 // trials are split into numShards contiguous, near-equal shards.
@@ -305,21 +293,13 @@ func shardRange(trials, numShards, s int) (lo, hi int) {
 
 // planShards is the shard planner: it returns the number of contiguous,
 // near-equal shards a trial range is split into, batching roughly
-// trials/workers trials per shard with a minimum batch of minShardTrials.
-//
-// Every shard it plans — at every scale — holds at most stats.MergeReplayCap
-// trials. Within that bound the shard accumulators and sketches merge by
-// ordered replay (see stats.Accumulator), so the aggregate is a pure function
-// of the per-trial results in trial order and neither the partition nor the
-// worker count is observable — proven by TestTrialStatsPartitionInvariance
-// and TestStreamingShardInvariance. The shard count is therefore unbounded
-// (about trials / stats.MergeReplayCap for huge runs); bounding memory is the
-// job of the ordered streaming reduce in MonteCarlo, which keeps only
-// O(workers) shard accumulators in flight no matter how many shards the plan
-// produces. (Historically the planner pinned a fixed 1024-shard partition
-// beyond 2^20 trials to keep a materialized []*TrialAccumulator bounded,
-// which pushed those shards past the replay window and degraded their merge
-// to the partition-dependent summary formulas.)
+// trials/workers trials per shard with a minimum batch of minShardTrials and
+// a maximum of maxShardTrials. The plan decides only how work is scheduled
+// and checkpointed: the fold adds every trial in trial order, so the
+// aggregate is the same at any plan (TestStreamingShardInvariance). The shard
+// count is unbounded (about trials / maxShardTrials for huge runs); the
+// ordered streaming reduce in MonteCarlo keeps only O(workers) shards in
+// flight however many the plan produces.
 func planShards(trials, workers int) int {
 	if trials <= minShardTrials {
 		return 1
@@ -334,8 +314,8 @@ func planShards(trials, workers int) int {
 	if batch < minShardTrials {
 		batch = minShardTrials
 	}
-	if batch > stats.MergeReplayCap {
-		batch = stats.MergeReplayCap
+	if batch > maxShardTrials {
+		batch = maxShardTrials
 	}
 	// Floor division so every shard holds at least `batch` trials — rounding
 	// the shard count up instead would cut shards below the minimum batch
@@ -344,12 +324,11 @@ func planShards(trials, workers int) int {
 	if shards < 1 {
 		shards = 1
 	}
-	// Flooring can push the largest shard past the replay window when batch
-	// already sits at the cap (5000 trials, 1 worker: 4 shards of up to
-	// 1250); the cap is a hard bound — it is what keeps the merge
-	// order-preserving — so split further until every shard fits.
-	if (trials+shards-1)/shards > stats.MergeReplayCap {
-		shards = (trials + stats.MergeReplayCap - 1) / stats.MergeReplayCap
+	// Flooring can push the largest shard past the cap when batch already
+	// sits at it (5000 trials, 1 worker: 4 shards of up to 1250); split
+	// further until every shard fits.
+	if (trials+shards-1)/shards > maxShardTrials {
+		shards = (trials + maxShardTrials - 1) / maxShardTrials
 	}
 	return shards
 }
@@ -381,15 +360,15 @@ func runTrial(cfg TrialConfig, alg agent.Algorithm, trial int) (Result, error) {
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 // runShard executes the contiguous trial range [lo, hi) with one pooled
-// engine and folds the results into a fresh accumulator. All per-trial state
-// — agent slots, heap storage, per-agent and placement streams — is reset in
-// place between trials, so the engine-level allocation cost is O(1) per
-// shard, not per trial; algorithms implementing agent.SearcherReuser bring
-// even the searcher allocations down to pool-miss-only. Every trial's
-// randomness still derives from (seed, trial) alone, exactly as in runTrial,
-// so the per-trial results are independent of the sharding.
-func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi int) (*TrialAccumulator, error) {
-	acc := NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
+// engine and returns the results in trial order. All per-trial state — agent
+// slots, heap storage, per-agent and placement streams — is reset in place
+// between trials, so the engine-level allocation cost is O(1) per shard, not
+// per trial; algorithms implementing agent.SearcherReuser bring even the
+// searcher allocations down to pool-miss-only. Every trial's randomness
+// still derives from (seed, trial) alone, exactly as in runTrial, so the
+// per-trial results are independent of the sharding.
+func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi int) ([]Result, error) {
+	results := make([]Result, 0, hi-lo)
 	e := enginePool.Get().(*engine)
 	defer enginePool.Put(e)
 	inst := Instance{Algorithm: alg, NumAgents: cfg.NumAgents, Faults: cfg.Faults}
@@ -410,23 +389,21 @@ func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi 
 		if err != nil {
 			return nil, err
 		}
-		acc.Add(r)
+		results = append(results, r)
 	}
-	return acc, nil
+	return results, nil
 }
 
 // MonteCarlo runs the configured number of independent trials, batched into
 // contiguous shards by planShards, fanned out over goroutines, and folded by
-// an ordered streaming reduce: shard accumulators are merged into the total
-// in strict shard order the moment they become mergeable, with only
-// O(workers) of them in flight (parallel.ReduceOrdered), so memory is
-// independent of the trial count — no per-shard slice, let alone a per-trial
-// one, is ever materialized. The aggregation is deterministic and
-// partition-blind at every scale: per-trial randomness derives from
-// (seed, trial) alone, every planned shard fits the stats.MergeReplayCap
-// replay window, and the ordered replay merge makes the aggregate a pure
-// function of the per-trial results in trial order — identical bit for bit
-// whatever the worker count or shard plan.
+// an ordered streaming reduce (parallel.ReduceOrderedFrom): each shard
+// returns its per-trial results, and the reducer adds them to the running
+// total in strict trial order the moment they become mergeable, with only
+// O(workers) shards in flight, so memory is independent of the trial count.
+// The total is a sequential fold by construction: per-trial randomness
+// derives from (seed, trial) alone and every trial is added exactly once, in
+// order, so the aggregate is identical bit for bit whatever the worker count
+// or shard plan.
 func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return TrialStats{}, err
@@ -438,24 +415,21 @@ func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 
 	shards := planShards(cfg.Trials, cfg.Workers)
 	// The fold state lives in one struct captured by the closures below, so
-	// the no-hook path allocates exactly what the pre-progress engine did:
-	// one escaped variable, whatever the number of fields.
-	st := foldState{cfg: &cfg, shards: shards}
+	// the no-hook path allocates one escaped variable, whatever the number of
+	// fields.
+	st := foldState{cfg: &cfg, shards: shards, total: NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())}
 	st.resume()
 	if cfg.Progress != nil && st.resumed > 0 {
 		// Report the restored prefix before any new shard computes, so a
 		// consumer learns immediately that (and how far) the run resumed.
 		st.report()
 	}
-	err := parallel.ReduceOrderedFrom(ctx, st.shardsDone, shards, cfg.Workers, func(s int) (*TrialAccumulator, error) {
+	err := parallel.ReduceOrderedFrom(ctx, st.shardsDone, shards, cfg.Workers, func(s int) ([]Result, error) {
 		lo, hi := shardRange(cfg.Trials, shards, s)
 		return runShard(ctx, cfg, alg, lo, hi)
 	}, st.merge)
 	if err != nil {
 		return TrialStats{}, fmt.Errorf("sim: monte carlo: %w", err)
-	}
-	if st.total == nil {
-		st.total = NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
 	}
 	return st.total.Stats(), nil
 }
@@ -476,7 +450,7 @@ type foldState struct {
 // strict: the checkpoint's totals must match this run, its trial prefix must
 // end exactly on a shard boundary of the current plan (checkpoints written
 // under a different worker count resume when their boundary aligns — the
-// aggregate is partition-blind, so the result stays bit-identical), and its
+// fold is sequential, so the result stays bit-identical), and its
 // state must decode into a consistent accumulator covering that prefix.
 // Anything else is ignored and the run starts fresh; a checkpoint can only
 // ever save work, never corrupt a result.
@@ -514,16 +488,11 @@ func (st *foldState) resume() {
 	st.resumed = resumeShard
 }
 
-// merge folds one shard accumulator into the running total and drives the
-// progress and checkpoint hooks. Merges arrive serialized in shard order, so
-// the first shard of a fresh run is adopted outright: merging it into an
-// empty accumulator would replay its complete observation log — the exact
-// state it already holds — while re-growing every value slice.
-func (st *foldState) merge(acc *TrialAccumulator) {
-	if st.total == nil {
-		st.total = acc
-	} else {
-		st.total.Merge(acc)
+// merge adds one shard's results to the running total, in trial order, and
+// drives the progress and checkpoint hooks.
+func (st *foldState) merge(results []Result) {
+	for _, r := range results {
+		st.total.Add(r)
 	}
 	st.shardsDone++
 	cfg := st.cfg

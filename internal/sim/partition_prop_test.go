@@ -1,23 +1,19 @@
 package sim
 
-// Property test for the order-preserving shard merge at the TrialStats level:
-// ANY partition of a trial sequence into contiguous shards of at most
-// stats.MergeReplayCap trials, accumulated per shard and merged in shard
-// order, must produce TrialStats bit-identical to the sequential fold over
-// the same per-trial results — counts, means, variances, extremes and the
-// full quantile-sketch state. This is the property that frees the shard
-// planner to consult the worker count: the partition cannot show up in the
-// output.
+// Property test for the ordered fold at the TrialStats level: MonteCarlo
+// must produce TrialStats bit-identical to the sequential fold over the same
+// per-trial results — counts, means, variances, extremes and the full
+// quantile-sketch state — whatever shard plan the worker count selects. The
+// fold adds each trial once, in trial order, so the partition cannot show up
+// in the output.
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"antsearch/internal/adversary"
 	"antsearch/internal/core"
-	"antsearch/internal/stats"
 )
 
 func TestTrialStatsPartitionInvariance(t *testing.T) {
@@ -27,7 +23,6 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4242))
 	for _, trials := range []int{1, 2, 9, 64, 257, 1500} {
 		cfg := TrialConfig{
 			Factory:   core.Factory(),
@@ -48,35 +43,18 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 		}
 		want := seq.Stats()
 
-		// The engine's own plan must land on the same bits as the sequential
-		// fold, whatever planShards chose for this machine.
-		st, err := MonteCarlo(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(st, want) {
-			t.Errorf("trials=%d: MonteCarlo differs from sequential fold:\n got %+v\nwant %+v",
-				trials, st, want)
-		}
-
-		// Random contiguous partitions with shards inside the replay window.
-		for round := 0; round < 25; round++ {
-			merged := NewTrialAccumulator(cfg.NumAgents, ring.Distance())
-			for lo := 0; lo < trials; {
-				hi := lo + 1 + rng.Intn(stats.MergeReplayCap)
-				if hi > trials {
-					hi = trials
-				}
-				shard := NewTrialAccumulator(cfg.NumAgents, ring.Distance())
-				for _, r := range results[lo:hi] {
-					shard.Add(r)
-				}
-				merged.Merge(shard)
-				lo = hi
+		// The engine's own plans must land on the same bits as the
+		// sequential fold, at the machine's default and at worker counts
+		// that cut the trials into different shards.
+		for _, workers := range []int{0, 1, 3, 8} {
+			cfg.Workers = workers
+			st, err := MonteCarlo(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(merged.Stats(), want) {
-				t.Errorf("trials=%d round=%d: partitioned merge differs from sequential fold:\n got %+v\nwant %+v",
-					trials, round, merged.Stats(), want)
+			if !reflect.DeepEqual(st, want) {
+				t.Errorf("trials=%d workers=%d: MonteCarlo differs from sequential fold:\n got %+v\nwant %+v",
+					trials, workers, st, want)
 			}
 		}
 	}
@@ -85,15 +63,14 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 // TestPlanShardsInvariants pins the planner's contract over a spread of
 // (trials, workers) shapes, including far beyond the historical 2^20-trial
 // fixed-partition regime: at least one shard; no shard ever exceeds
-// stats.MergeReplayCap trials (the hard bound that keeps the merge
-// order-preserving, and what lets MonteCarlo's ordered streaming reduce stay
-// replay-exact at every scale) and none dips below the minimum batch.
+// maxShardTrials trials (the bound on a shard's result slice) and none dips
+// below the minimum batch.
 func TestPlanShardsInvariants(t *testing.T) {
 	t.Parallel()
 
 	workersList := []int{0, 1, 2, 3, 4, 8, 32, 256}
 	for _, trials := range []int{1, 7, 8, 9, 12, 63, 64, 100, 1023, 1024, 1025, 5000, 100000,
-		1024 * stats.MergeReplayCap, 1024*stats.MergeReplayCap + 1, 5000 * stats.MergeReplayCap} {
+		1024 * maxShardTrials, 1024*maxShardTrials + 1, 5000 * maxShardTrials} {
 		for _, workers := range workersList {
 			shards := planShards(trials, workers)
 			if shards < 1 {
@@ -111,9 +88,9 @@ func TestPlanShardsInvariants(t *testing.T) {
 					}
 				}
 			}
-			if maxSize > stats.MergeReplayCap {
-				t.Errorf("trials=%d workers=%d: shard of %d trials exceeds the replay window %d",
-					trials, workers, maxSize, stats.MergeReplayCap)
+			if maxSize > maxShardTrials {
+				t.Errorf("trials=%d workers=%d: shard of %d trials exceeds the cap %d",
+					trials, workers, maxSize, maxShardTrials)
 			}
 			wantMin := minShardTrials
 			if trials < wantMin {
@@ -126,13 +103,13 @@ func TestPlanShardsInvariants(t *testing.T) {
 		}
 	}
 	// Beyond the historical 1024-shard pin the planner must keep splitting:
-	// enough shards that every one fits the replay window, never a capped
-	// count that would force shards past it.
-	beyond := 1024*stats.MergeReplayCap + 1
+	// enough shards that every one fits the cap, never a capped count that
+	// would force shards past it.
+	beyond := 1024*maxShardTrials + 1
 	for _, workers := range workersList {
 		got := planShards(beyond, workers)
-		if wantMin := (beyond + stats.MergeReplayCap - 1) / stats.MergeReplayCap; got < wantMin {
-			t.Errorf("beyond 2^20 trials: planShards(%d, %d) = %d shards, need at least %d to keep every shard replay-exact",
+		if wantMin := (beyond + maxShardTrials - 1) / maxShardTrials; got < wantMin {
+			t.Errorf("beyond 2^20 trials: planShards(%d, %d) = %d shards, need at least %d to keep every shard within the cap",
 				beyond, workers, got, wantMin)
 		}
 	}

@@ -183,11 +183,10 @@ func TestStreamingShardInvariance(t *testing.T) {
 }
 
 // TestStreamingBeyondReplayPinWorkerInvariance crosses the 2^20-trial
-// boundary where the planner historically pinned a fixed 1024-shard partition
-// (forcing shards past the replay window and the merge onto the
-// partition-dependent summary formulas). With the ordered streaming reduce
-// the plan exceeds 1024 shards, every shard stays replay-exact, and the
-// aggregate must be bit-identical across worker counts even at this scale.
+// boundary where the planner historically pinned a fixed 1024-shard
+// partition. With the ordered streaming reduce the plan exceeds 1024 shards,
+// the reducer adds every trial in order, and the aggregate must be
+// bit-identical across worker counts even at this scale.
 // The single-spiral baseline with one agent and a tiny cap keeps the >10^6
 // engine runs cheap: the deterministic searcher either hits the near treasure
 // on the first spiral arm or parks at the cap within a few segments.
@@ -197,7 +196,7 @@ func TestStreamingBeyondReplayPinWorkerInvariance(t *testing.T) {
 		t.Skip("million-trial streaming run")
 	}
 
-	trials := 1024*stats.MergeReplayCap + 3
+	trials := 1024*maxShardTrials + 3
 	if planShards(trials, 1) <= 1024 {
 		t.Fatalf("planShards(%d, 1) = %d, expected the plan to exceed the historical 1024-shard pin",
 			trials, planShards(trials, 1))
@@ -226,15 +225,16 @@ func TestStreamingBeyondReplayPinWorkerInvariance(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(st, first) {
-			t.Errorf("stats with %d workers differ from 1 worker beyond the replay pin:\n%+v\nvs\n%+v",
+			t.Errorf("stats with %d workers differ from 1 worker beyond the 1024-shard pin:\n%+v\nvs\n%+v",
 				workers, st, first)
 		}
 	}
 }
 
-// TestTrialAccumulatorMergeOrder checks that merging shard accumulators in
-// shard order equals accumulating the concatenated trial sequence when every
-// shard holds one trial (the regime the engine uses for small runs).
+// TestTrialAccumulatorMergeOrder checks that merging single-trial
+// accumulators in order reproduces the sequential counts, extremes and
+// quantiles. The times and ratios here are small dyadic values, so the
+// summary-formula means and variances land on the sequential bits too.
 func TestTrialAccumulatorMergeOrder(t *testing.T) {
 	t.Parallel()
 

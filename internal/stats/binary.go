@@ -18,7 +18,7 @@ import (
 
 // accumulatorStateVersion guards the Accumulator wire form; bump on any
 // change to the field set or ordering below.
-const accumulatorStateVersion = 1
+const accumulatorStateVersion = 2
 
 // sketchStateVersion guards the Sketch (and embedded P²) wire form.
 const sketchStateVersion = 1
@@ -65,7 +65,9 @@ func takeF64s(b []byte, maxLen int) ([]float64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if n < 0 || n > maxLen || len(b) < 8*n {
+	// Compare against len(b)/8, not 8*n against len(b): a hostile count
+	// would overflow the product and slip past the bound.
+	if n < 0 || n > maxLen || n > len(b)/8 {
 		return nil, nil, fmt.Errorf("stats: binary state declares %d values, have %d bytes", n, len(b))
 	}
 	if n == 0 {
@@ -78,22 +80,16 @@ func takeF64s(b []byte, maxLen int) ([]float64, []byte, error) {
 	return vs, b, nil
 }
 
-// AppendBinary appends the accumulator's complete internal state — counts,
-// Welford terms, extremes, the replay log and the DisableReplay flag — to b
-// and returns the extended slice. DecodeBinary reverses it exactly.
+// AppendBinary appends the accumulator's complete internal state — count,
+// Welford terms and extremes — to b and returns the extended slice.
+// DecodeBinary reverses it exactly.
 func (a *Accumulator) AppendBinary(b []byte) []byte {
 	b = append(b, accumulatorStateVersion)
 	b = appendI64(b, a.n)
 	b = appendF64(b, a.mean)
 	b = appendF64(b, a.m2)
 	b = appendF64(b, a.min)
-	b = appendF64(b, a.max)
-	flag := byte(0)
-	if a.noReplay {
-		flag = 1
-	}
-	b = append(b, flag)
-	return appendF64s(b, a.log)
+	return appendF64(b, a.max)
 }
 
 // DecodeBinary replaces a's state with the one serialized at the front of b
@@ -122,16 +118,8 @@ func (a *Accumulator) DecodeBinary(b []byte) ([]byte, error) {
 	if dec.max, b, err = takeF64(b); err != nil {
 		return nil, err
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("stats: truncated binary state")
-	}
-	dec.noReplay = b[0] != 0
-	b = b[1:]
-	if dec.log, b, err = takeF64s(b, MergeReplayCap); err != nil {
-		return nil, err
-	}
-	if dec.n < 0 || len(dec.log) > dec.n {
-		return nil, fmt.Errorf("stats: inconsistent accumulator state (n=%d, log=%d)", dec.n, len(dec.log))
+	if dec.n < 0 {
+		return nil, fmt.Errorf("stats: inconsistent accumulator state (n=%d)", dec.n)
 	}
 	*a = dec
 	return b, nil
@@ -262,9 +250,39 @@ func (s *Sketch) DecodeBinary(b []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("stats: unknown sketch mode %d", mode)
 	}
-	if dec.cap < 4 || dec.n < 0 || len(dec.samples) > dec.n {
-		return nil, fmt.Errorf("stats: inconsistent sketch state (cap=%d, n=%d)", dec.cap, dec.n)
+	if err := dec.checkConsistent(); err != nil {
+		return nil, err
 	}
 	*s = dec
 	return b, nil
+}
+
+// checkConsistent reports whether a decoded sketch is one Add and Merge can
+// produce: a sketch answers exactly while its n <= cap observations are all
+// buffered, and past the cap every estimator has seen all n of them.
+func (s *Sketch) checkConsistent() error {
+	for _, q := range s.tracked {
+		if !(q > 0 && q < 1) {
+			return fmt.Errorf("stats: sketch tracks quantile %v outside (0, 1)", q)
+		}
+	}
+	if s.cap < 4 || s.n < 0 {
+		return fmt.Errorf("stats: inconsistent sketch state (cap=%d, n=%d)", s.cap, s.n)
+	}
+	if s.est == nil {
+		if len(s.samples) != s.n || s.n > s.cap {
+			return fmt.Errorf("stats: exact sketch holds %d samples for n=%d (cap=%d)", len(s.samples), s.n, s.cap)
+		}
+		return nil
+	}
+	if s.n <= s.cap {
+		return fmt.Errorf("stats: estimating sketch with n=%d within cap=%d", s.n, s.cap)
+	}
+	for i, e := range s.est {
+		if e.q != s.tracked[i] || e.count != s.n {
+			return fmt.Errorf("stats: estimator %d (q=%v, count=%d) disagrees with sketch (q=%v, n=%d)",
+				i, e.q, e.count, s.tracked[i], s.n)
+		}
+	}
+	return nil
 }

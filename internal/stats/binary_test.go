@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -14,7 +15,7 @@ func TestAccumulatorBinaryRoundTrip(t *testing.T) {
 	t.Parallel()
 
 	rng := rand.New(rand.NewPCG(7, 11))
-	for _, n := range []int{0, 1, 5, MergeReplayCap - 1, MergeReplayCap, MergeReplayCap + 100} {
+	for _, n := range []int{0, 1, 5, DefaultSketchCap - 1, DefaultSketchCap, DefaultSketchCap + 100} {
 		var a Accumulator
 		for i := 0; i < n; i++ {
 			a.Add(rng.NormFloat64() * 1e3)
@@ -28,7 +29,7 @@ func TestAccumulatorBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: %d undecoded bytes", n, len(rest))
 		}
 		// Continue both with the same suffix; every summary stat must stay
-		// bit-identical, including the replay-log-driven merge behaviour.
+		// bit-identical, including under a further merge.
 		var intoA, intoB Accumulator
 		for i := 0; i < 50; i++ {
 			x := rng.Float64()
@@ -50,22 +51,6 @@ func TestAccumulatorBinaryRoundTrip(t *testing.T) {
 		if intoA.N() != intoB.N() {
 			t.Fatalf("n=%d: N diverged: %d vs %d", n, intoA.N(), intoB.N())
 		}
-	}
-}
-
-func TestAccumulatorBinaryPreservesDisableReplay(t *testing.T) {
-	t.Parallel()
-
-	var a Accumulator
-	a.DisableReplay()
-	a.Add(1)
-	a.Add(2)
-	var b Accumulator
-	if _, err := b.DecodeBinary(a.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if !b.noReplay || b.log != nil {
-		t.Fatalf("DisableReplay lost in round trip: noReplay=%v log=%v", b.noReplay, b.log)
 	}
 }
 
@@ -97,10 +82,13 @@ func TestAccumulatorDecodeRejectsDamage(t *testing.T) {
 		"bad version": append([]byte{accumulatorStateVersion + 1}, good[1:]...),
 		"truncated":   good[:len(good)-3],
 	}
-	// An inflated log count must be rejected, not allocated.
-	huge := append([]byte(nil), good...)
-	huge[len(huge)-8*10-8] = 0xff
-	cases["oversized log"] = huge
+	// A negative observation count must be rejected.
+	negative := append([]byte(nil), good...)
+	for i := 1; i <= 8; i++ {
+		negative[i] = 0xff
+	}
+	cases["negative count"] = negative
+	cases["version 1"] = append([]byte{1}, good[1:]...)
 	for name, data := range cases {
 		var b Accumulator
 		if _, err := b.DecodeBinary(data); err == nil {
@@ -158,10 +146,30 @@ func TestSketchDecodeRejectsDamage(t *testing.T) {
 		a.Add(float64(i % 37))
 	}
 	good := a.AppendBinary(nil)
+	// An exact sketch whose cap and sample count are hostile: the count fits
+	// under cap+1 but 8*count overflows to 8, which once slipped past the
+	// length check into a makeslice panic. The count follows the version
+	// byte, cap, n, min, max, and the length-prefixed tracked quantiles and
+	// the mode byte.
+	exact := NewSketch(0)
+	for i := 0; i < 3; i++ {
+		exact.Add(float64(i))
+	}
+	hostile := exact.AppendBinary(nil)
+	off := 1 + 4*8 + 8 + 8*len(exact.tracked) + 1
+	if got := binary.LittleEndian.Uint64(hostile[off:]); got != 3 {
+		t.Fatalf("sample count at offset %d reads %d, want 3", off, got)
+	}
+	binary.LittleEndian.PutUint64(hostile[1:], 1<<62)
+	binary.LittleEndian.PutUint64(hostile[off:], 1<<61+1)
+	inconsistent := exact.AppendBinary(nil)
+	binary.LittleEndian.PutUint64(inconsistent[1+8:], 5) // n=5 over 3 samples
 	for name, data := range map[string][]byte{
-		"empty":       nil,
-		"bad version": append([]byte{sketchStateVersion + 1}, good[1:]...),
-		"truncated":   good[:len(good)/2],
+		"empty":          nil,
+		"bad version":    append([]byte{sketchStateVersion + 1}, good[1:]...),
+		"truncated":      good[:len(good)/2],
+		"hostile count":  hostile,
+		"n over samples": inconsistent,
 	} {
 		b := NewSketch(0)
 		if _, err := b.DecodeBinary(data); err == nil {

@@ -1,12 +1,10 @@
 package stats
 
-// Property tests for the order-preserving merge: any partition of an
-// observation sequence into contiguous runs of at most MergeReplayCap
-// (respectively DefaultSketchCap) observations, accumulated separately and
-// merged back in stream order, must reproduce the sequential state bit for
-// bit. This is the contract the sweep engine's shard planner builds on: it
-// makes shard boundaries unobservable in the aggregates, so the planner is
-// free to pick them from the worker count.
+// Property tests for the merges: any partition of an observation sequence
+// into contiguous runs of at most DefaultSketchCap observations, sketched
+// separately and merged back in stream order, must reproduce the sequential
+// sketch state bit for bit; an Accumulator merged across a long stream keeps
+// its counts and extremes exact and its mean within rounding.
 
 import (
 	"math"
@@ -44,37 +42,6 @@ func randomPartition(rng *rand.Rand, n, maxRun int) [][2]int {
 	return runs
 }
 
-func TestAccumulatorPartitionInvariance(t *testing.T) {
-	t.Parallel()
-
-	rng := rand.New(rand.NewSource(99))
-	for _, n := range []int{1, 5, 100, MergeReplayCap, MergeReplayCap + 1, 3000} {
-		xs := randomStream(rng, n)
-		var seq Accumulator
-		for _, x := range xs {
-			seq.Add(x)
-		}
-		for round := 0; round < 20; round++ {
-			var merged Accumulator
-			for _, run := range randomPartition(rng, n, MergeReplayCap) {
-				var shard Accumulator
-				for _, x := range xs[run[0]:run[1]] {
-					shard.Add(x)
-				}
-				merged.Merge(shard)
-			}
-			if !reflect.DeepEqual(merged, seq) {
-				t.Fatalf("n=%d round=%d: merged accumulator state differs from sequential:\nmerged %+v\nseq    %+v",
-					n, round, merged, seq)
-			}
-			if merged.Summarize() != seq.Summarize() {
-				t.Fatalf("n=%d round=%d: summaries differ: %+v vs %+v",
-					n, round, merged.Summarize(), seq.Summarize())
-			}
-		}
-	}
-}
-
 func TestSketchPartitionInvariance(t *testing.T) {
 	t.Parallel()
 
@@ -105,26 +72,26 @@ func TestSketchPartitionInvariance(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMergeBeyondReplayWindow pins the fallback: merging an
-// accumulator whose stream overflowed the replay log is no longer replayed,
-// but counts and extremes stay exact and the mean stays within floating-point
-// merge error of the sequential fold.
+// TestAccumulatorMergeBeyondReplayWindow pins the summary-formula merge on
+// streams longer than a sketch's exact window: counts and extremes stay exact
+// and the mean stays within floating-point merge error of the sequential
+// fold.
 func TestAccumulatorMergeBeyondReplayWindow(t *testing.T) {
 	t.Parallel()
 
 	rng := rand.New(rand.NewSource(3))
-	n := 2*MergeReplayCap + 17
+	n := 2*DefaultSketchCap + 17
 	xs := randomStream(rng, n)
 	var seq Accumulator
 	for _, x := range xs {
 		seq.Add(x)
 	}
 	var big Accumulator // one oversized shard: log incomplete
-	for _, x := range xs[:MergeReplayCap+1] {
+	for _, x := range xs[:DefaultSketchCap+1] {
 		big.Add(x)
 	}
 	var merged Accumulator
-	for _, x := range xs[MergeReplayCap+1:] {
+	for _, x := range xs[DefaultSketchCap+1:] {
 		merged.Add(x)
 	}
 	big.Merge(merged)
@@ -134,47 +101,5 @@ func TestAccumulatorMergeBeyondReplayWindow(t *testing.T) {
 	}
 	if rel := math.Abs(big.Mean()-seq.Mean()) / math.Max(1, math.Abs(seq.Mean())); rel > 1e-9 {
 		t.Errorf("merged mean %v too far from sequential %v", big.Mean(), seq.Mean())
-	}
-}
-
-// TestAccumulatorDisableReplay pins the opt-out: a disabled accumulator
-// records no log (no replay-prefix dead weight for streams known to overflow
-// the window), merges out via the summary formula, and still accepts exact
-// replay merges in.
-func TestAccumulatorDisableReplay(t *testing.T) {
-	t.Parallel()
-
-	var disabled Accumulator
-	disabled.DisableReplay()
-	for i := 0; i < 100; i++ {
-		disabled.Add(float64(i))
-	}
-	if disabled.log != nil {
-		t.Fatalf("disabled accumulator recorded %d log entries", len(disabled.log))
-	}
-
-	// Merging a complete accumulator in still replays exactly.
-	var tail Accumulator
-	for i := 100; i < 200; i++ {
-		tail.Add(float64(i))
-	}
-	var seq Accumulator
-	for i := 0; i < 200; i++ {
-		seq.Add(float64(i))
-	}
-	disabled.Merge(tail)
-	if disabled.N() != seq.N() || disabled.Mean() != seq.Mean() ||
-		disabled.Min() != seq.Min() || disabled.Max() != seq.Max() {
-		t.Errorf("disabled+replay merge differs from sequential: %+v vs %+v",
-			disabled.Summarize(), seq.Summarize())
-	}
-
-	// Merging a disabled accumulator out goes through the formula: counts and
-	// extremes stay exact.
-	var total Accumulator
-	total.Add(-5)
-	total.Merge(disabled)
-	if total.N() != 201 || total.Min() != -5 || total.Max() != 199 {
-		t.Errorf("merge of disabled accumulator: n=%d min=%v max=%v", total.N(), total.Min(), total.Max())
 	}
 }

@@ -221,12 +221,8 @@ func (s *Sketch) estimate() {
 // While every merged-in sketch is itself still exact (its own stream fits the
 // cap), merging in stream order is bit-identical to observing the
 // concatenated stream with Add — even when the destination has long since
-// switched to estimation: the destination sees exactly the same ordered
-// sequence of sample insertions either way. The result then depends only on
-// observation order, never on how the stream was partitioned into sketches
-// (see TestSketchPartitionInvariance); this is the property that lets the
-// sweep engine batch trials into shards of up to DefaultSketchCap trials
-// without perturbing a single output bit.
+// switched to estimation — see TestSketchPartitionInvariance. Merging in a
+// sketch that already estimates is deterministic but partition-dependent.
 func (s *Sketch) Merge(b *Sketch) {
 	if b == nil || b.n == 0 {
 		return

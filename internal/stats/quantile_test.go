@@ -215,35 +215,28 @@ func TestAccumulatorMergeMatchesSequential(t *testing.T) {
 		seq.Add(x)
 	}
 
-	// Singleton merges replay Add and must be bit-identical.
-	var single Accumulator
-	for _, x := range data {
-		var one Accumulator
-		one.Add(x)
-		single.Merge(one)
-	}
-	if !reflect.DeepEqual(single, seq) {
-		t.Errorf("singleton merge differs from sequential:\n%+v\n%+v", single, seq)
-	}
-
-	// Batched merges agree within floating-point merge error.
-	var batched Accumulator
-	for lo := 0; lo < len(data); lo += 64 {
-		hi := min(lo+64, len(data))
-		var part Accumulator
-		for _, x := range data[lo:hi] {
-			part.Add(x)
+	// Merges use the summary formula: counts and extremes are exact, means
+	// and variances agree within floating-point merge error, for singleton
+	// and batched parts alike.
+	for _, size := range []int{1, 64} {
+		var batched Accumulator
+		for lo := 0; lo < len(data); lo += size {
+			hi := min(lo+size, len(data))
+			var part Accumulator
+			for _, x := range data[lo:hi] {
+				part.Add(x)
+			}
+			batched.Merge(part)
 		}
-		batched.Merge(part)
-	}
-	if batched.N() != seq.N() || batched.Min() != seq.Min() || batched.Max() != seq.Max() {
-		t.Errorf("batched merge counts/extremes differ: %+v vs %+v", batched, seq)
-	}
-	if math.Abs(batched.Mean()-seq.Mean()) > 1e-9*math.Abs(seq.Mean()) {
-		t.Errorf("batched mean %v differs from sequential %v", batched.Mean(), seq.Mean())
-	}
-	if math.Abs(batched.Variance()-seq.Variance()) > 1e-9*seq.Variance() {
-		t.Errorf("batched variance %v differs from sequential %v", batched.Variance(), seq.Variance())
+		if batched.N() != seq.N() || batched.Min() != seq.Min() || batched.Max() != seq.Max() {
+			t.Errorf("size %d: merge counts/extremes differ: %+v vs %+v", size, batched, seq)
+		}
+		if math.Abs(batched.Mean()-seq.Mean()) > 1e-9*math.Abs(seq.Mean()) {
+			t.Errorf("size %d: merged mean %v differs from sequential %v", size, batched.Mean(), seq.Mean())
+		}
+		if math.Abs(batched.Variance()-seq.Variance()) > 1e-9*seq.Variance() {
+			t.Errorf("size %d: merged variance %v differs from sequential %v", size, batched.Variance(), seq.Variance())
+		}
 	}
 
 	// Merging into an empty accumulator copies.

@@ -10,51 +10,16 @@ import (
 	"sort"
 )
 
-// MergeReplayCap is the number of observations an Accumulator records in its
-// replay log. While an accumulator's stream fits the cap, merging it into
-// another accumulator replays the individual observations in insertion order,
-// which makes the merged state bit-identical to sequential accumulation —
-// independent of how a sequence was partitioned into accumulators. The cap
-// matches DefaultSketchCap so the two halves of a shard aggregate (Welford
-// state and quantile sketch) leave their exact windows together.
-const MergeReplayCap = DefaultSketchCap
-
 // Accumulator computes running mean and variance using Welford's method. The
 // zero value is ready to use.
 //
-// Up to MergeReplayCap observations the accumulator also keeps a replay log,
-// which gives Merge exact sequential semantics: folding accumulators with
-// complete logs in stream order is bit-identical to adding every observation
-// to a single accumulator, whatever the partition boundaries (the property
-// the sweep engine's shard planner relies on; see
-// TestAccumulatorPartitionInvariance).
-//
-//antlint:codec version=accumulatorStateVersion fields=n,mean,m2,min,max,log,noReplay encode=AppendBinary decode=DecodeBinary
+//antlint:codec version=accumulatorStateVersion fields=n,mean,m2,min,max encode=AppendBinary decode=DecodeBinary
 type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
 	min  float64
 	max  float64
-	// log holds the first MergeReplayCap observations in insertion order. It
-	// is "complete" — a faithful record of the whole stream — while
-	// len(log) == n; past the cap the accumulator stops recording and Merge
-	// falls back to the summary formula.
-	log []float64
-	// noReplay suppresses the log entirely (DisableReplay): an accumulator
-	// that already knows its stream will overflow the cap skips recording a
-	// prefix it could never replay.
-	noReplay bool
-}
-
-// DisableReplay stops the accumulator from recording a replay log. Callers
-// that know the stream will exceed MergeReplayCap — where the log would go
-// incomplete and become dead weight — use it to skip the recording cost; the
-// accumulator then always merges via the summary formula. It must be called
-// before the first Add.
-func (a *Accumulator) DisableReplay() {
-	a.noReplay = true
-	a.log = nil
 }
 
 // Add incorporates one observation.
@@ -69,9 +34,6 @@ func (a *Accumulator) Add(x float64) {
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
-	if !a.noReplay && len(a.log) == a.n-1 && a.n <= MergeReplayCap {
-		a.log = append(a.log, x)
-	}
 }
 
 // N returns the number of observations.
@@ -99,38 +61,18 @@ func (a *Accumulator) Variance() float64 {
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
 // Merge folds another accumulator into a, as if every observation added to b
-// had been added to a. When b carries a complete replay log (its stream fits
-// MergeReplayCap), the merge replays b's observations through Add, so the
-// result is bit-identical to sequential accumulation of the concatenated
-// streams — it depends only on observation order, never on where the stream
-// was split. Past the cap the merge uses Chan et al.'s parallel variance
-// update, which is still deterministic (folding the same accumulators in the
-// same order always yields the same result) but carries floating-point merge
-// error that does depend on the partition.
+// had been added to a, using Chan et al.'s parallel variance update. Counts
+// and extremes are exact. The merge is deterministic — folding the same
+// accumulators in the same order always yields the same result — but the mean
+// and variance carry floating-point merge error that depends on where the
+// stream was split, so a partitioned fold can differ from sequential Add in
+// the last bits. Callers that need the sequential result fold with Add.
 func (a *Accumulator) Merge(b Accumulator) {
 	if b.n == 0 {
 		return
 	}
-	if len(b.log) == b.n {
-		for _, x := range b.log {
-			a.Add(x)
-		}
-		return
-	}
-	if b.n == 1 {
-		// An incomplete singleton (hand-built without Add); replaying its one
-		// observation keeps the historical bit-identity of single-trial merges.
-		a.Add(b.mean)
-		return
-	}
 	if a.n == 0 {
-		noReplay := a.noReplay
 		*a = b
-		// b's log is incomplete here and its backing array stays shared with
-		// the caller's value; drop it rather than alias it. A DisableReplay
-		// on the destination survives the copy.
-		a.log = nil
-		a.noReplay = noReplay || b.noReplay
 		return
 	}
 	na, nb := float64(a.n), float64(b.n)
@@ -141,8 +83,6 @@ func (a *Accumulator) Merge(b Accumulator) {
 	a.n += b.n
 	a.min = math.Min(a.min, b.min)
 	a.max = math.Max(a.max, b.max)
-	// a.n grew without appending to a.log, so the log is incomplete from here
-	// on and later merges into a larger accumulator use the formula above.
 }
 
 // StdErr returns the standard error of the mean.
