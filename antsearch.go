@@ -13,7 +13,7 @@
 //     random walks, Lévy flights, a coordinated sector sweep, known-D),
 //   - two simulation engines (analytic and exact/cell-level) and a
 //     Monte-Carlo estimator of expected running times, and
-//   - the reproduction experiments E1–E10 described in DESIGN.md.
+//   - the reproduction experiments E1–E11 described in DESIGN.md.
 //
 // # Quick start
 //

@@ -1,7 +1,7 @@
 package antsearch_test
 
 // This file contains one testing.B benchmark per reproduction experiment
-// (E1–E10, see DESIGN.md §4 and EXPERIMENTS.md). Each benchmark runs the
+// (E1–E11, see DESIGN.md §4 and EXPERIMENTS.md). Each benchmark runs the
 // corresponding experiment at quick scale per iteration, so
 //
 //	go test -bench=. -benchmem
@@ -81,6 +81,10 @@ func BenchmarkE9Overlap(b *testing.B) { benchExperiment(b, "E9") }
 
 // BenchmarkE10Ablation regenerates E10: ε and δ ablations.
 func BenchmarkE10Ablation(b *testing.B) { benchExperiment(b, "E10") }
+
+// BenchmarkE11Faults regenerates E11: degradation under fail-stop and
+// fail-stall faults.
+func BenchmarkE11Faults(b *testing.B) { benchExperiment(b, "E11") }
 
 // --- Engine micro-benchmarks --------------------------------------------------
 

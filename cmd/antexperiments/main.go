@@ -1,4 +1,4 @@
-// Command antexperiments regenerates the reproduction experiments E1–E10
+// Command antexperiments regenerates the reproduction experiments E1–E11
 // described in DESIGN.md and EXPERIMENTS.md.
 //
 // Usage:
@@ -37,10 +37,13 @@ func run(args []string, out *os.File) error {
 		scale   = fs.String("scale", "standard", "sweep size: quick, standard or full")
 		seed    = fs.Uint64("seed", 1, "base random seed")
 		format  = fs.String("format", "ascii", "table format: ascii, markdown or csv")
-		workers = fs.Int("workers", 0, "maximum worker goroutines (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "total worker goroutines per experiment, shared by cells and trials (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
 
 	cfg := experiments.Config{Seed: *seed, Workers: *workers}

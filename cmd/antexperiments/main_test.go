@@ -72,10 +72,14 @@ func TestRunErrors(t *testing.T) {
 		{"-scale", "enormous"},
 		{"-format", "pdf"},
 		{"-definitely-not-a-flag"},
+		{"-workers", "-1"},
 	}
 	for _, args := range cases {
 		if _, err := runToFile(t, args); err == nil {
 			t.Errorf("args %v: expected an error", args)
 		}
+	}
+	if _, err := runToFile(t, []string{"-workers", "-1"}); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("-workers -1: error %v does not name the flag", err)
 	}
 }

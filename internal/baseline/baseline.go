@@ -26,6 +26,7 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"antsearch/internal/agent"
 	"antsearch/internal/grid"
@@ -239,6 +240,11 @@ func RandomWalkFactory() agent.Factory {
 // foraging insects because straight legs reduce overlap between searchers.
 type LevyFlight struct {
 	mu float64
+	// plOnce guards pl, the flight-length sampler for δ = mu-1, built on the
+	// first searcher so that an algorithm that never searches never pays
+	// for its table.
+	plOnce sync.Once
+	pl     *xrand.PowerLaw
 }
 
 // NewLevyFlight returns the Lévy flight baseline with tail exponent mu,
@@ -258,16 +264,23 @@ func (a *LevyFlight) Mu() float64 { return a.mu }
 // Name implements agent.Algorithm.
 func (a *LevyFlight) Name() string { return fmt.Sprintf("levy-flight(mu=%.2g)", a.mu) }
 
+// powerLaw returns the shared flight-length sampler, building it on first
+// use.
+func (a *LevyFlight) powerLaw() *xrand.PowerLaw {
+	a.plOnce.Do(func() { a.pl = xrand.NewPowerLaw(a.mu - 1) })
+	return a.pl
+}
+
 // levyFlightSearcher emits one power-law-length straight leg per segment.
 type levyFlightSearcher struct {
 	rng *xrand.Stream
-	mu  float64
+	pl  *xrand.PowerLaw
 	pos grid.Point
 }
 
 // NextSegment implements agent.Searcher.
 func (s *levyFlightSearcher) NextSegment() (trajectory.Seg, bool) {
-	length := s.rng.PowerLawRadius(s.mu - 1)
+	length := s.pl.Radius(s.rng)
 	theta := 2 * math.Pi * s.rng.Float64()
 	dx := int(math.Round(float64(length) * math.Cos(theta)))
 	dy := int(math.Round(float64(length) * math.Sin(theta)))
@@ -296,12 +309,12 @@ func (s *levyFlightSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg,
 
 // NewSearcher implements agent.Algorithm.
 func (a *LevyFlight) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &levyFlightSearcher{rng: rng, mu: a.mu}
+	return &levyFlightSearcher{rng: rng, pl: a.powerLaw()}
 }
 
 // ReuseSearcher implements agent.SearcherReuser.
 func (a *LevyFlight) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
-	return agent.ReuseOrNew(prev, levyFlightSearcher{rng: rng, mu: a.mu})
+	return agent.ReuseOrNew(prev, levyFlightSearcher{rng: rng, pl: a.powerLaw()})
 }
 
 // LevyFlightFactory returns a Factory for LevyFlight (it ignores k).

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"antsearch/internal/agent"
 	"antsearch/internal/trajectory"
@@ -26,7 +27,26 @@ import (
 // expected-time guarantee; the experiment harness therefore reports success
 // probability and time-given-success separately for it.
 type Harmonic struct {
-	delta float64
+	harmonicTail
+}
+
+// harmonicTail is the δ of a harmonic algorithm and its radius sampler. The
+// sampler is built lazily, on the first searcher, so that an algorithm that
+// never makes one — a sweep grid expanded only to look its cells up in a
+// cache — never pays for its table.
+type harmonicTail struct {
+	delta  float64
+	plOnce sync.Once
+	pl     *xrand.PowerLaw
+}
+
+// Delta returns the algorithm's tail parameter.
+func (t *harmonicTail) Delta() float64 { return t.delta }
+
+// powerLaw returns the shared radius sampler, building it on first use.
+func (t *harmonicTail) powerLaw() *xrand.PowerLaw {
+	t.plOnce.Do(func() { t.pl = xrand.NewPowerLaw(t.delta) })
+	return t.pl
 }
 
 // NewHarmonic returns the harmonic algorithm with tail parameter delta.
@@ -37,7 +57,7 @@ func NewHarmonic(delta float64) (*Harmonic, error) {
 	if delta <= 0 || delta >= 2 {
 		return nil, fmt.Errorf("harmonic: delta must be in (0, 2), got %v", delta)
 	}
-	return &Harmonic{delta: delta}, nil
+	return &Harmonic{harmonicTail: harmonicTail{delta: delta}}, nil
 }
 
 // MustHarmonic is NewHarmonic for statically correct arguments; it panics on
@@ -50,9 +70,6 @@ func MustHarmonic(delta float64) *Harmonic {
 	return a
 }
 
-// Delta returns the algorithm's tail parameter.
-func (a *Harmonic) Delta() float64 { return a.delta }
-
 // Name implements agent.Algorithm.
 func (a *Harmonic) Name() string { return fmt.Sprintf("harmonic(delta=%.2g)", a.delta) }
 
@@ -61,7 +78,7 @@ func (a *Harmonic) Name() string { return fmt.Sprintf("harmonic(delta=%.2g)", a.
 type harmonicSearcher struct {
 	sortieEmitter
 	rng     *xrand.Stream
-	delta   float64
+	pl      *xrand.PowerLaw
 	restart bool
 	done    bool
 }
@@ -74,8 +91,7 @@ func (s *harmonicSearcher) nextSortie() (sortie, bool) {
 	if !s.restart {
 		s.done = true
 	}
-	h := Harmonic{delta: s.delta}
-	return h.sortie(s.rng), true
+	return harmonicSortie(s.rng, s.pl), true
 }
 
 // NextSegment implements agent.Searcher.
@@ -88,20 +104,20 @@ func (s *harmonicSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, b
 
 // NewSearcher implements agent.Algorithm.
 func (a *Harmonic) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &harmonicSearcher{rng: rng, delta: a.delta}
+	return &harmonicSearcher{rng: rng, pl: a.powerLaw()}
 }
 
 // ReuseSearcher implements agent.SearcherReuser.
 func (a *Harmonic) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
-	return agent.ReuseOrNew(prev, harmonicSearcher{rng: rng, delta: a.delta})
+	return agent.ReuseOrNew(prev, harmonicSearcher{rng: rng, pl: a.powerLaw()})
 }
 
-// sortie draws one harmonic sortie: a target u with p(u) ∝ 1/d(u)^(2+δ) and a
-// spiral budget of d(u)^(2+δ) steps.
-func (a *Harmonic) sortie(rng *xrand.Stream) sortie {
-	u := rng.HarmonicPoint(a.delta)
+// harmonicSortie draws one harmonic sortie: a target u with
+// p(u) ∝ 1/d(u)^(2+δ) and a spiral budget of d(u)^(2+δ) steps.
+func harmonicSortie(rng *xrand.Stream, pl *xrand.PowerLaw) sortie {
+	u := rng.HarmonicPoint(pl)
 	d := float64(u.L1())
-	return newSortie(u, clampSteps(math.Pow(d, 2+a.delta)))
+	return newSortie(u, clampSteps(math.Pow(d, 2+pl.Delta())))
 }
 
 // HarmonicFactory returns a Factory for the (uniform) harmonic algorithm; it
@@ -122,7 +138,7 @@ func HarmonicFactory(delta float64) (agent.Factory, error) {
 // constant once k > αD^δ. The ablation experiment (E10) compares it with the
 // one-shot variant.
 type HarmonicRestart struct {
-	delta float64
+	harmonicTail
 }
 
 // NewHarmonicRestart returns the restarting harmonic algorithm with tail
@@ -131,11 +147,8 @@ func NewHarmonicRestart(delta float64) (*HarmonicRestart, error) {
 	if delta <= 0 || delta >= 2 {
 		return nil, fmt.Errorf("harmonic-restart: delta must be in (0, 2), got %v", delta)
 	}
-	return &HarmonicRestart{delta: delta}, nil
+	return &HarmonicRestart{harmonicTail: harmonicTail{delta: delta}}, nil
 }
-
-// Delta returns the algorithm's tail parameter.
-func (a *HarmonicRestart) Delta() float64 { return a.delta }
 
 // Name implements agent.Algorithm.
 func (a *HarmonicRestart) Name() string {
@@ -144,12 +157,12 @@ func (a *HarmonicRestart) Name() string {
 
 // NewSearcher implements agent.Algorithm.
 func (a *HarmonicRestart) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &harmonicSearcher{rng: rng, delta: a.delta, restart: true}
+	return &harmonicSearcher{rng: rng, pl: a.powerLaw(), restart: true}
 }
 
 // ReuseSearcher implements agent.SearcherReuser.
 func (a *HarmonicRestart) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
-	return agent.ReuseOrNew(prev, harmonicSearcher{rng: rng, delta: a.delta, restart: true})
+	return agent.ReuseOrNew(prev, harmonicSearcher{rng: rng, pl: a.powerLaw(), restart: true})
 }
 
 // HarmonicRestartFactory returns a Factory for the restarting harmonic

@@ -30,12 +30,14 @@ func runE2(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New("E2: competitiveness of KnownK run with a ρ-approximation of k",
 		"rho", "bias", "k", "mean time", "ratio", "ratio / rho²")
 
-	// ratioAt[rho] holds the worst ratio observed for that rho (over k and
-	// bias), used for the growth check.
-	ratioAt := make(map[float64]float64)
+	// The advice k_a may sit anywhere in [k/ρ, kρ]; measure both extremes
+	// (the corollary's analysis is worst-case over the interval).
+	type cellInfo struct{ rho, bias float64 }
+	var (
+		cells []sweepCell
+		infos []cellInfo
+	)
 	for _, rho := range rhos {
-		// The advice k_a may sit anywhere in [k/ρ, kρ]; measure both extremes
-		// (the corollary's analysis is worst-case over the interval).
 		biases := []float64{1 / rho, rho}
 		if rho == 1 {
 			biases = []float64{1}
@@ -46,17 +48,28 @@ func runE2(ctx context.Context, cfg Config) (*Outcome, error) {
 				return nil, fmt.Errorf("E2: %w", err)
 			}
 			for _, k := range agents {
-				label := fmt.Sprintf("E2/rho=%.2g/bias=%.2g/k=%d", rho, bias, k)
-				st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
-				if err != nil {
-					return nil, err
-				}
-				ratio := st.MeanTime() / st.LowerBound()
-				tbl.MustAddRow(rho, bias, k, st.MeanTime(), ratio, ratio/(rho*rho))
-				if ratio > ratioAt[rho] {
-					ratioAt[rho] = ratio
-				}
+				cells = append(cells, sweepCell{
+					label:   fmt.Sprintf("E2/rho=%.2g/bias=%.2g/k=%d", rho, bias, k),
+					factory: factory, k: k, d: d, trials: trials,
+				})
+				infos = append(infos, cellInfo{rho, bias})
 			}
+		}
+	}
+	sweep, err := runSweep(ctx, cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+
+	// ratioAt[rho] holds the worst ratio observed for that rho (over k and
+	// bias), used for the growth check.
+	ratioAt := make(map[float64]float64)
+	for i, st := range sweep {
+		rho, bias := infos[i].rho, infos[i].bias
+		ratio := st.MeanTime() / st.LowerBound()
+		tbl.MustAddRow(rho, bias, cells[i].k, st.MeanTime(), ratio, ratio/(rho*rho))
+		if ratio > ratioAt[rho] {
+			ratioAt[rho] = ratio
 		}
 	}
 	tbl.AddNote("D = %d, trials per cell: %d; bias is k_a/k, exercised at both ends of [1/ρ, ρ]", d, trials)

@@ -47,23 +47,27 @@ func runE4(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	tblA := table.New(fmt.Sprintf("E4a: Uniform(ε=%.2g) competitiveness divided by log k", eps),
 		"k", "D", "ratio", "ratio / log2 k", "ratio / log^(1+ε) k")
-	var ratios, normLog []float64
 	scales := geometricInts(4, maxK)
-	for _, k := range scales {
+	cells := make([]sweepCell, len(scales))
+	for i, k := range scales {
 		d := 2 * k
 		if d < 32 {
 			d = 32
 		}
-		label := fmt.Sprintf("E4a/k=%d", k)
-		st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
-		if err != nil {
-			return nil, err
-		}
+		cells[i] = sweepCell{label: fmt.Sprintf("E4a/k=%d", k), factory: factory, k: k, d: d, trials: trials}
+	}
+	sweep, err := runSweep(ctx, cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	var ratios, normLog []float64
+	for i, st := range sweep {
+		k := cells[i].k
 		ratio := st.MeanTime() / st.LowerBound()
 		ratios = append(ratios, ratio)
 		norm := ratio / log2Floor1(k)
 		normLog = append(normLog, norm)
-		tblA.MustAddRow(k, d, ratio, norm, ratio/polylog(k, eps))
+		tblA.MustAddRow(k, cells[i].d, ratio, norm, ratio/polylog(k, eps))
 	}
 	tblA.AddNote("trials per cell: %d; the middle column must drift upward (Theorem 4.1)", trials)
 	out.Tables = append(out.Tables, tblA)
@@ -91,13 +95,12 @@ func runE4(ctx context.Context, cfg Config) (*Outcome, error) {
 	tblB := table.New("E4b: per-agent distinct-node coverage within horizon 2T (proof mechanism)",
 		"k", "per-agent distinct nodes", "per-agent / horizon", "overlap fraction")
 	budgetOK := true
-	for i, sr := range report.Scales {
+	for _, sr := range report.Scales {
 		perAgent := sr.PerAgentDistinct.Mean
 		tblB.MustAddRow(sr.K, perAgent, perAgent/float64(horizon), sr.Overlap)
 		if perAgent > float64(horizon)+1 {
 			budgetOK = false
 		}
-		_ = i
 	}
 	tblB.AddNote("horizon 2T = %d steps, treasure unreachable; an agent can never cover more nodes than it has steps", horizon)
 	out.Tables = append(out.Tables, tblB)

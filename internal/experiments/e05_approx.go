@@ -34,35 +34,49 @@ func runE5(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New("E5: competitiveness of ApproxHedge vs the advice quality ε",
 		"epsilon", "k", "kTilde", "candidates", "ratio", "ratio / (1 + ε·log2 k)")
 
-	// ratio[eps][k] is the measured competitive ratio of each cell; the
-	// penalty of a cell is its ratio divided by the ε = 0 ratio at the same
-	// k, i.e. the price of the advice quality relative to exact knowledge.
-	ratio := make(map[float64]map[int]float64)
-	worst := make(map[float64]float64)
+	var (
+		cells []sweepCell
+		epsOf []float64 // the advice quality of each cell
+	)
 	for _, eps := range epsilons {
 		factory, err := factoryFor("approx-hedge", scenario.Params{Epsilon: eps})
 		if err != nil {
 			return nil, fmt.Errorf("E5: %w", err)
 		}
-		ratio[eps] = make(map[int]float64)
 		for _, k := range agents {
 			d := 2 * k
 			if d < 32 {
 				d = 32
 			}
-			label := fmt.Sprintf("E5/eps=%.2g/k=%d", eps, k)
-			st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
-			if err != nil {
-				return nil, err
-			}
-			r := st.MeanTime() / st.LowerBound()
-			ratio[eps][k] = r
-			if r > worst[eps] {
-				worst[eps] = r
-			}
-			alg := factory(k).(*core.ApproxHedge)
-			tbl.MustAddRow(eps, k, alg.KTilde(), len(alg.Candidates()), r, r/(1+eps*log2Floor1(k)))
+			cells = append(cells, sweepCell{
+				label:   fmt.Sprintf("E5/eps=%.2g/k=%d", eps, k),
+				factory: factory, k: k, d: d, trials: trials,
+			})
+			epsOf = append(epsOf, eps)
 		}
+	}
+	sweep, err := runSweep(ctx, cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+
+	// ratio[eps][k] is the measured competitive ratio of each cell; the
+	// penalty of a cell is its ratio divided by the ε = 0 ratio at the same
+	// k, i.e. the price of the advice quality relative to exact knowledge.
+	ratio := make(map[float64]map[int]float64)
+	worst := make(map[float64]float64)
+	for i, st := range sweep {
+		eps, k := epsOf[i], cells[i].k
+		if ratio[eps] == nil {
+			ratio[eps] = make(map[int]float64)
+		}
+		r := st.MeanTime() / st.LowerBound()
+		ratio[eps][k] = r
+		if r > worst[eps] {
+			worst[eps] = r
+		}
+		alg := cells[i].factory(k).(*core.ApproxHedge)
+		tbl.MustAddRow(eps, k, alg.KTilde(), len(alg.Candidates()), r, r/(1+eps*log2Floor1(k)))
 	}
 	tbl.AddNote("trials per cell: %d, D = 2k; kTilde is the one-sided estimate handed to every agent", trials)
 	out.Tables = append(out.Tables, tbl)

@@ -40,10 +40,13 @@ func runE6(ctx context.Context, cfg Config) (*Outcome, error) {
 	// over the treasure count as misses rather than polluting the averages.
 	const capFactor = 50
 
-	// successLow/High aggregate success rates well below and well above the
-	// threshold for the headline check.
-	var successLow, successHigh []float64
-	var normalizedHigh []float64
+	type cellInfo struct {
+		delta, threshold, bound, m float64
+	}
+	var (
+		cells []sweepCell
+		infos []cellInfo
+	)
 	for _, delta := range deltas {
 		factory, err := factoryFor("harmonic", scenario.Params{Delta: delta})
 		if err != nil {
@@ -57,24 +60,35 @@ func runE6(ctx context.Context, cfg Config) (*Outcome, error) {
 					k = 1
 				}
 				bound := float64(d) + math.Pow(float64(d), 2+delta)/float64(k)
-				maxT := int(capFactor * bound)
-				label := fmt.Sprintf("E6/delta=%.2g/D=%d/m=%.2g", delta, d, m)
-				st, err := measure(ctx, cfg, factory, k, d, trials, maxT, label)
-				if err != nil {
-					return nil, err
-				}
-				med := st.MedianFoundTime()
-				norm := med / bound
-				tbl.MustAddRow(delta, d, k, float64(k)/threshold, st.SuccessRate(), med, norm)
-				if m <= 0.5 {
-					successLow = append(successLow, st.SuccessRate())
-				}
-				if m >= 16 {
-					successHigh = append(successHigh, st.SuccessRate())
-					if st.Found > 0 {
-						normalizedHigh = append(normalizedHigh, norm)
-					}
-				}
+				cells = append(cells, sweepCell{
+					label:   fmt.Sprintf("E6/delta=%.2g/D=%d/m=%.2g", delta, d, m),
+					factory: factory, k: k, d: d, trials: trials, maxTime: int(capFactor * bound),
+				})
+				infos = append(infos, cellInfo{delta, threshold, bound, m})
+			}
+		}
+	}
+	sweep, err := runSweep(ctx, cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+
+	// successLow/High aggregate success rates well below and well above the
+	// threshold for the headline check.
+	var successLow, successHigh []float64
+	var normalizedHigh []float64
+	for i, st := range sweep {
+		c, info := cells[i], infos[i]
+		med := st.MedianFoundTime()
+		norm := med / info.bound
+		tbl.MustAddRow(info.delta, c.d, c.k, float64(c.k)/info.threshold, st.SuccessRate(), med, norm)
+		if info.m <= 0.5 {
+			successLow = append(successLow, st.SuccessRate())
+		}
+		if info.m >= 16 {
+			successHigh = append(successHigh, st.SuccessRate())
+			if st.Found > 0 {
+				normalizedHigh = append(normalizedHigh, norm)
 			}
 		}
 	}

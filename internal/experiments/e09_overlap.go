@@ -6,6 +6,7 @@ import (
 
 	"antsearch/internal/agent"
 	"antsearch/internal/metrics"
+	"antsearch/internal/parallel"
 	"antsearch/internal/scenario"
 	"antsearch/internal/sim"
 	"antsearch/internal/table"
@@ -61,40 +62,55 @@ func runE9(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New(fmt.Sprintf("E9: overlap fraction and ball coverage at D = %d", d),
 		"algorithm", "k", "overlap fraction", "distinct nodes", "fraction of B(D) covered", "mean time")
 
-	overlap := make(map[string]map[int]float64)
-	for _, c := range contenders {
-		overlap[c.name] = make(map[int]float64)
-		for _, k := range agents {
-			alg := c.factory(k)
-			var (
-				overlapSum float64
-				distinct   float64
-				ballFrac   float64
-				timeSum    float64
-			)
-			for trial := 0; trial < trials; trial++ {
-				seedStream := xrand.NewStream(cfg.Seed, hashLabel(fmt.Sprintf("E9/%s/k=%d", c.name, k)), uint64(trial))
-				treasure := seedStream.UniformRingPoint(d)
-				cov := metrics.NewCoverage(k)
-				res, err := sim.RunExact(sim.Instance{
-					Algorithm: alg,
-					NumAgents: k,
-					Treasure:  treasure,
-				}, sim.Options{
-					Seed: xrand.DeriveSeed(cfg.Seed, hashLabel(c.name), uint64(k), uint64(trial)),
-				}, cov.Visit)
-				if err != nil {
-					return nil, fmt.Errorf("E9 %s k=%d: %w", c.name, k, err)
-				}
-				overlapSum += cov.OverlapFraction()
-				distinct += float64(cov.DistinctNodes())
-				ballFrac += cov.FractionOfBallCovered(d)
-				timeSum += float64(res.Time)
+	// Each (contender, k) cell is independent and seeded from its own
+	// indices, so the cells run concurrently and the rows are added in
+	// cell order afterwards.
+	type cellResult struct {
+		overlap, distinct, ballFrac, time float64
+	}
+	results, err := parallel.Map(ctx, len(contenders)*len(agents), cfg.Workers, func(i int) (cellResult, error) {
+		c, k := contenders[i/len(agents)], agents[i%len(agents)]
+		alg := c.factory(k)
+		var (
+			overlapSum float64
+			distinct   float64
+			ballFrac   float64
+			timeSum    float64
+		)
+		for trial := 0; trial < trials; trial++ {
+			seedStream := xrand.NewStream(cfg.Seed, hashLabel(fmt.Sprintf("E9/%s/k=%d", c.name, k)), uint64(trial))
+			treasure := seedStream.UniformRingPoint(d)
+			cov := metrics.NewCoverage(k)
+			res, err := sim.RunExact(sim.Instance{
+				Algorithm: alg,
+				NumAgents: k,
+				Treasure:  treasure,
+			}, sim.Options{
+				Seed: xrand.DeriveSeed(cfg.Seed, hashLabel(c.name), uint64(k), uint64(trial)),
+			}, cov.Visit)
+			if err != nil {
+				return cellResult{}, fmt.Errorf("E9 %s k=%d: %w", c.name, k, err)
 			}
-			n := float64(trials)
-			overlap[c.name][k] = overlapSum / n
-			tbl.MustAddRow(c.name, k, overlapSum/n, distinct/n, ballFrac/n, timeSum/n)
+			overlapSum += cov.OverlapFraction()
+			distinct += float64(cov.DistinctNodes())
+			ballFrac += cov.FractionOfBallCovered(d)
+			timeSum += float64(res.Time)
 		}
+		n := float64(trials)
+		return cellResult{overlapSum / n, distinct / n, ballFrac / n, timeSum / n}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	overlap := make(map[string]map[int]float64)
+	for i, r := range results {
+		c, k := contenders[i/len(agents)], agents[i%len(agents)]
+		if overlap[c.name] == nil {
+			overlap[c.name] = make(map[int]float64)
+		}
+		overlap[c.name][k] = r.overlap
+		tbl.MustAddRow(c.name, k, r.overlap, r.distinct, r.ballFrac, r.time)
 	}
 	tbl.AddNote("exact (cell-level) engine, %d trials per cell; overlap = 1 − distinct nodes / total steps", trials)
 	out.Tables = append(out.Tables, tbl)

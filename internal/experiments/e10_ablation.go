@@ -37,20 +37,48 @@ func runE10(ctx context.Context, cfg Config) (*Outcome, error) {
 	k := pick(cfg, 32, 64, 256)
 	d := 2 * k
 	trials := pick(cfg, 10, 40, 100)
+	// Part B: harmonic δ sweep — one-shot success probability and restarting
+	// variant's time at fixed k and D.
+	deltas := []float64{0.1, 0.2, 0.4, 0.6, 0.8}
+	dH := pick(cfg, 24, 48, 96)
+	kH := pick(cfg, 8, 16, 32)
+	trialsH := pick(cfg, 30, 120, 300)
 
-	tblA := table.New(fmt.Sprintf("E10a: Uniform ε ablation at k = %d, D = %d", k, d),
-		"epsilon", "mean time", "ratio", "ratio / log^(1+ε) k")
-	ratioByEps := make(map[float64]float64)
+	// Both parts run as one sweep: the ε cells first, then a one-shot and a
+	// restart cell per δ.
+	var cells []sweepCell
 	for _, eps := range epsilons {
 		factory, err := factoryFor("uniform", scenario.Params{Epsilon: eps})
 		if err != nil {
 			return nil, fmt.Errorf("E10: %w", err)
 		}
-		label := fmt.Sprintf("E10a/eps=%.2g", eps)
-		st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
+		cells = append(cells, sweepCell{
+			label: fmt.Sprintf("E10a/eps=%.2g", eps), factory: factory, k: k, d: d, trials: trials,
+		})
+	}
+	for _, delta := range deltas {
+		oneShot, err := factoryFor("harmonic", scenario.Params{Delta: delta})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E10: %w", err)
 		}
+		restart, err := factoryFor("harmonic-restart", scenario.Params{Delta: delta})
+		if err != nil {
+			return nil, fmt.Errorf("E10: %w", err)
+		}
+		cells = append(cells,
+			sweepCell{label: fmt.Sprintf("E10b/one/delta=%.2g", delta), factory: oneShot, k: kH, d: dH, trials: trialsH},
+			sweepCell{label: fmt.Sprintf("E10b/re/delta=%.2g", delta), factory: restart, k: kH, d: dH, trials: trials})
+	}
+	sweep, err := runSweep(ctx, cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+
+	tblA := table.New(fmt.Sprintf("E10a: Uniform ε ablation at k = %d, D = %d", k, d),
+		"epsilon", "mean time", "ratio", "ratio / log^(1+ε) k")
+	ratioByEps := make(map[float64]float64)
+	for i, eps := range epsilons {
+		st := sweep[i]
 		ratio := st.MeanTime() / st.LowerBound()
 		ratioByEps[eps] = ratio
 		tblA.MustAddRow(eps, st.MeanTime(), ratio, ratio/polylog(k, eps))
@@ -62,34 +90,11 @@ func runE10(ctx context.Context, cfg Config) (*Outcome, error) {
 	out.addCheck("all-eps-work", allPositive(ratioByEps),
 		"every ε > 0 yields a working uniform algorithm (Theorem 3.3 needs only ε > 0)")
 
-	// Part B: harmonic δ sweep — one-shot success probability and restarting
-	// variant's time at fixed k and D.
-	deltas := []float64{0.1, 0.2, 0.4, 0.6, 0.8}
-	dH := pick(cfg, 24, 48, 96)
-	kH := pick(cfg, 8, 16, 32)
-	trialsH := pick(cfg, 30, 120, 300)
 	tblB := table.New(fmt.Sprintf("E10b: harmonic δ ablation at k = %d, D = %d", kH, dH),
 		"delta", "k / D^δ", "one-shot success", "restart mean time", "restart ratio")
 	successes := make(map[float64]float64)
-	for _, delta := range deltas {
-		oneShot, err := factoryFor("harmonic", scenario.Params{Delta: delta})
-		if err != nil {
-			return nil, fmt.Errorf("E10: %w", err)
-		}
-		restart, err := factoryFor("harmonic-restart", scenario.Params{Delta: delta})
-		if err != nil {
-			return nil, fmt.Errorf("E10: %w", err)
-		}
-		labelOne := fmt.Sprintf("E10b/one/delta=%.2g", delta)
-		stOne, err := measure(ctx, cfg, oneShot, kH, dH, trialsH, 0, labelOne)
-		if err != nil {
-			return nil, err
-		}
-		labelRe := fmt.Sprintf("E10b/re/delta=%.2g", delta)
-		stRe, err := measure(ctx, cfg, restart, kH, dH, trials, 0, labelRe)
-		if err != nil {
-			return nil, err
-		}
+	for i, delta := range deltas {
+		stOne, stRe := sweep[len(epsilons)+2*i], sweep[len(epsilons)+2*i+1]
 		successes[delta] = stOne.SuccessRate()
 		tblB.MustAddRow(delta,
 			float64(kH)/math.Pow(float64(dH), delta),

@@ -40,37 +40,62 @@ func runE11(ctx context.Context, cfg Config) (*Outcome, error) {
 	// swamping the mean: a dead colony costs a bounded, interpretable amount.
 	maxTime := 64 * d * d
 
+	factory, err := factoryFor("known-k", scenario.Params{})
+	if err != nil {
+		return nil, fmt.Errorf("E11: %w", err)
+	}
+
 	// Part A: fail-stop crash sweep. Crashes are drawn uniformly over the
 	// first D steps — early enough to destroy most of a victim's useful work,
 	// which is the harshest fail-stop regime for a fixed crash fraction.
 	crashProbs := []float64{0, 0.25, 0.5, 0.75}
+	// Part B: fail-stall sweep. Every agent pauses once, for increasingly
+	// long stretches; stalls delay but never destroy coverage, so success
+	// must not degrade while time may. All three cells share one label and
+	// therefore one seed — common random numbers: identical placements,
+	// identical agent walks, identical stall starts and identical raw
+	// duration draws. With the power-of-two duration bounds below, the
+	// drawn stall length 1+IntN(dur) is monotone in dur for a fixed raw
+	// draw (xrand masks power-of-two bounds), so every agent's delay — and
+	// hence every trial's time — is deterministically non-decreasing in
+	// dur, which turns the monotonicity check from a statistical bet into
+	// an invariant.
+	stallDurs := []int{d / 4, d, 4 * d}
+
+	// Both parts run as one sweep: the crash cells, then the stall cells.
+	var cells []sweepCell
+	for _, p := range crashProbs {
+		var plan *fault.Plan
+		if p > 0 {
+			plan = &fault.Plan{CrashProb: p, CrashBy: d}
+		}
+		cells = append(cells, sweepCell{
+			label: fmt.Sprintf("E11a/crash=%.2g", p), factory: factory, k: k, d: d, trials: trials,
+			maxTime: maxTime, faults: plan,
+		})
+	}
+	for _, dur := range stallDurs {
+		cells = append(cells, sweepCell{
+			label: "E11b/stall", factory: factory, k: k, d: d, trials: trials,
+			maxTime: maxTime, faults: &fault.Plan{StallProb: 1, StallBy: d, StallDur: dur},
+		})
+	}
+	sweep, err := runSweep(ctx, cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+
 	tblA := table.New(fmt.Sprintf("E11a: fail-stop degradation at k = %d, D = %d", k, d),
 		"crash prob", "mean survivors", "success", "mean time", "mean k'-ratio")
 	timeByProb := make(map[float64]float64)
 	ratioByProb := make(map[float64]float64)
 	survivorsByProb := make(map[float64]float64)
-	for _, p := range crashProbs {
-		factory, err := factoryFor("known-k", scenario.Params{})
-		if err != nil {
-			return nil, fmt.Errorf("E11: %w", err)
-		}
-		var plan *fault.Plan
-		if p > 0 {
-			plan = &fault.Plan{CrashProb: p, CrashBy: d}
-		}
-		label := fmt.Sprintf("E11a/crash=%.2g", p)
-		st, err := runSweep(ctx, cfg, []sweepCell{{
-			label: label, factory: factory, k: k, d: d, trials: trials,
-			maxTime: maxTime, faults: plan,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		timeByProb[p] = st[0].MeanTime()
-		ratioByProb[p] = st[0].MeanSurvivorRatio()
-		survivorsByProb[p] = st[0].MeanSurvivors()
-		tblA.MustAddRow(p, st[0].MeanSurvivors(), st[0].SuccessRate(),
-			st[0].MeanTime(), st[0].MeanSurvivorRatio())
+	for i, p := range crashProbs {
+		st := sweep[i]
+		timeByProb[p] = st.MeanTime()
+		ratioByProb[p] = st.MeanSurvivorRatio()
+		survivorsByProb[p] = st.MeanSurvivors()
+		tblA.MustAddRow(p, st.MeanSurvivors(), st.SuccessRate(), st.MeanTime(), st.MeanSurvivorRatio())
 	}
 	tblA.AddNote("crashes drawn uniformly over [0, D); %d trials per cell, capped at %d steps", trials, maxTime)
 	out.Tables = append(out.Tables, tblA)
@@ -95,41 +120,17 @@ func runE11(ctx context.Context, cfg Config) (*Outcome, error) {
 		"mean time / (D + D²/k′) stays finite and below %.0f at every crash rate (survivors act like a smaller colony)",
 		kPrimeBound)
 
-	// Part B: fail-stall sweep. Every agent pauses once, for increasingly
-	// long stretches; stalls delay but never destroy coverage, so success
-	// must not degrade while time may. All three cells share one label and
-	// therefore one seed — common random numbers: identical placements,
-	// identical agent walks, identical stall starts and identical raw
-	// duration draws. With the power-of-two duration bounds below, the
-	// drawn stall length 1+IntN(dur) is monotone in dur for a fixed raw
-	// draw (xrand masks power-of-two bounds), so every agent's delay — and
-	// hence every trial's time — is deterministically non-decreasing in
-	// dur, which turns the monotonicity check from a statistical bet into
-	// an invariant.
-	stallDurs := []int{d / 4, d, 4 * d}
 	tblB := table.New(fmt.Sprintf("E11b: fail-stall sensitivity at k = %d, D = %d", k, d),
 		"stall dur", "success", "mean time", "mean survivors")
 	timeByDur := make(map[int]float64)
 	successOK := true
-	for _, dur := range stallDurs {
-		factory, err := factoryFor("known-k", scenario.Params{})
-		if err != nil {
-			return nil, fmt.Errorf("E11: %w", err)
-		}
-		plan := &fault.Plan{StallProb: 1, StallBy: d, StallDur: dur}
-		label := "E11b/stall"
-		st, err := runSweep(ctx, cfg, []sweepCell{{
-			label: label, factory: factory, k: k, d: d, trials: trials,
-			maxTime: maxTime, faults: plan,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		timeByDur[dur] = st[0].MeanTime()
-		if st[0].SuccessRate() < 1 {
+	for i, dur := range stallDurs {
+		st := sweep[len(crashProbs)+i]
+		timeByDur[dur] = st.MeanTime()
+		if st.SuccessRate() < 1 {
 			successOK = false
 		}
-		tblB.MustAddRow(dur, st[0].SuccessRate(), st[0].MeanTime(), st[0].MeanSurvivors())
+		tblB.MustAddRow(dur, st.SuccessRate(), st.MeanTime(), st.MeanSurvivors())
 	}
 	tblB.AddNote("every agent stalls once, starting uniformly in [0, D); %d trials per cell", trials)
 	out.Tables = append(out.Tables, tblB)

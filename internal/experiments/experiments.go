@@ -56,7 +56,8 @@ type Config struct {
 	Seed uint64
 	// Scale selects the sweep sizes (default Standard).
 	Scale Scale
-	// Workers bounds the number of goroutines (0 = GOMAXPROCS).
+	// Workers is the total goroutine budget of an experiment, shared between
+	// concurrent cells and the trials within a cell (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -177,7 +178,11 @@ type sweepCell struct {
 
 // runSweep executes the cells through the scenario sweep engine (streaming,
 // sharded Monte Carlo with a uniform-ring adversary), returning statistics
-// index for index.
+// index for index. Every experiment declares all its cells up front and runs
+// them in one call, so AutoSplit can spend the Workers budget across cells
+// as well as across trials; Workers 1 stays fully sequential. Each cell's
+// statistics are a pure function of its label-derived seed and its
+// configuration, so the split changes wall time only.
 func runSweep(ctx context.Context, cfg Config, cells []sweepCell) ([]sim.TrialStats, error) {
 	resolved := make([]scenario.Cell, len(cells))
 	for i, c := range cells {
@@ -192,23 +197,12 @@ func runSweep(ctx context.Context, cfg Config, cells []sweepCell) ([]sim.TrialSt
 			Faults:   c.faults,
 		}
 	}
-	stats, err := scenario.Runner{Workers: cfg.Workers}.Run(ctx, resolved)
+	cellWorkers, trialWorkers := scenario.AutoSplit(resolved, cfg.Workers)
+	stats, err := scenario.Runner{Workers: trialWorkers, CellWorkers: cellWorkers}.Run(ctx, resolved)
 	if err != nil {
 		return nil, fmt.Errorf("experiment cell: %w", err)
 	}
 	return stats, nil
-}
-
-// measure runs a Monte-Carlo estimation for one (factory, k, D) cell with a
-// uniform-ring adversary. It is the shared workhorse of the experiments.
-func measure(ctx context.Context, cfg Config, factory agent.Factory, k, d, trials, maxTime int, label string) (sim.TrialStats, error) {
-	stats, err := runSweep(ctx, cfg, []sweepCell{{
-		label: label, factory: factory, k: k, d: d, trials: trials, maxTime: maxTime,
-	}})
-	if err != nil {
-		return sim.TrialStats{}, err
-	}
-	return stats[0], nil
 }
 
 // factoryFor resolves a registered scenario into the advice-model factory an

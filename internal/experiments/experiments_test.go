@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -215,5 +216,49 @@ func TestQuickExperimentsCoverageHarness(t *testing.T) {
 				t.Errorf("E9 check %s failed: %s", c.Name, c.Detail)
 			}
 		}
+	}
+}
+
+// renderOutcome is everything an experiment reports: its tables, findings
+// and checks, as the antexperiments command prints them.
+func renderOutcome(o *Outcome) string {
+	var b strings.Builder
+	for _, t := range o.Tables {
+		b.WriteString(t.ASCII())
+	}
+	for _, f := range o.Findings {
+		fmt.Fprintf(&b, "finding: %s\n", f)
+	}
+	for _, c := range o.Checks {
+		fmt.Fprintf(&b, "check %s pass=%t: %s\n", c.Name, c.Pass, c.Detail)
+	}
+	return b.String()
+}
+
+// TestExperimentsWorkerParity runs every registered experiment at quick
+// scale under Workers 1 (fully sequential), 0 (GOMAXPROCS) and 3, and
+// requires byte-identical outcomes: how a sweep splits its budget between
+// cells and trials must change wall time only.
+func TestExperimentsWorkerParity(t *testing.T) {
+	t.Parallel()
+
+	for _, exp := range All() {
+		t.Run(exp.ID, func(t *testing.T) {
+			var want string
+			for _, workers := range []int{1, 0, 3} {
+				out, err := exp.Run(context.Background(), Config{Seed: 3, Scale: Quick, Workers: workers})
+				if err != nil {
+					t.Fatalf("workers %d: %v", workers, err)
+				}
+				got := renderOutcome(out)
+				if workers == 1 {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Errorf("workers %d outcome differs from workers 1:\n%s\nwant:\n%s", workers, got, want)
+				}
+			}
+		})
 	}
 }

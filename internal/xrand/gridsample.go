@@ -39,9 +39,10 @@ func (s *Stream) UniformRingPoint(radius int) grid.Point {
 // search algorithm (Section 5). It first samples the radius r with
 // probability proportional to r^-(1+delta) and then a uniform node of the L1
 // ring of radius r, which yields exactly the harmonic distribution because
-// ring r contains 4r nodes.
-func (s *Stream) HarmonicPoint(delta float64) grid.Point {
-	r := s.PowerLawRadius(delta)
+// ring r contains 4r nodes. The radius comes from p, the sampler for the
+// distribution's delta.
+func (s *Stream) HarmonicPoint(p *PowerLaw) grid.Point {
+	r := p.Radius(s)
 	return grid.RingPoint(r, s.IntN(grid.RingSize(r)))
 }
 

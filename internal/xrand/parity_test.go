@@ -6,6 +6,8 @@ package xrand
 // recorded experiment and golden file in the repository silently changes.
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -167,6 +169,7 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 func TestHotPathAllocFree(t *testing.T) {
 	var s Stream
 	buf := make([]int, 16)
+	pl := NewPowerLaw(0.5)
 	allocs := testing.AllocsPerRun(200, func() {
 		s.Reset(7, 3, 1)
 		_ = s.Uint64()
@@ -175,8 +178,122 @@ func TestHotPathAllocFree(t *testing.T) {
 		_ = s.Float64()
 		_ = s.Bernoulli(0.5)
 		s.PermInto(buf)
+		_ = pl.Radius(&s)
+		_ = s.HarmonicPoint(pl)
 	})
 	if allocs != 0 {
 		t.Errorf("hot-path samplers allocate %.1f times per run, want 0", allocs)
 	}
+}
+
+// refPowerLawRadius is PowerLawRadius as it was before the PowerLaw table,
+// kept verbatim as the reference both forms must reproduce.
+func refPowerLawRadius(s *Stream, delta float64) int {
+	m := math.Pow(2, 1+delta) / delta
+	for {
+		u := s.Float64()
+		if u == 0 {
+			continue
+		}
+		x := math.Pow(u, -1/delta)
+		if x >= float64(math.MaxInt64/4) {
+			continue
+		}
+		r := int(x)
+		if r < 1 {
+			r = 1
+		}
+		q := math.Pow(float64(r), -delta) - math.Pow(float64(r+1), -delta)
+		target := math.Pow(float64(r), -(1 + delta))
+		if q <= 0 {
+			continue
+		}
+		if s.Float64()*m*q < target {
+			return r
+		}
+	}
+}
+
+// checkPowerLawParity draws n radii for delta from the same seed three ways —
+// the tabled PowerLaw, the one-off PowerLawRadius and the reference — and
+// fails unless the radii and the streams' final states agree. It returns
+// how many radii fell past the table.
+func checkPowerLawParity(t *testing.T, delta float64, seed uint64, n int) (beyond int) {
+	t.Helper()
+	pl := NewPowerLaw(delta)
+	tabled, oneOff, ref := NewStream(seed), NewStream(seed), NewStream(seed)
+	for i := 0; i < n; i++ {
+		got, one, want := pl.Radius(tabled), oneOff.PowerLawRadius(delta), refPowerLawRadius(ref, delta)
+		if got != want || one != want {
+			t.Fatalf("delta %v seed %d draw %d: PowerLaw %d, PowerLawRadius %d, reference %d",
+				delta, seed, i, got, one, want)
+		}
+		if want >= powerLawTableSize {
+			beyond++
+		}
+	}
+	if a, b, c := tabled.Uint64(), oneOff.Uint64(), ref.Uint64(); a != c || b != c {
+		t.Fatalf("delta %v seed %d: streams diverged after %d draws", delta, seed, n)
+	}
+	return beyond
+}
+
+// TestPowerLawMatchesPowerLawRadius pins the tabled sampler to the one-off
+// form and to the historical algorithm, radius for radius and stream value
+// for stream value, on both sides of the table edge.
+func TestPowerLawMatchesPowerLawRadius(t *testing.T) {
+	t.Parallel()
+
+	for i, delta := range []float64{0.1, 0.25, 0.5, 0.8, 1, 1.5, 2} {
+		beyond := checkPowerLawParity(t, delta, uint64(100+i), 20000)
+		// At δ <= 0.5 about one radius in forty or more lands past the
+		// table, so the math.Pow fallback is exercised as well as the table.
+		if delta <= 0.5 && beyond == 0 {
+			t.Errorf("delta %v: no draw reached past the %d-entry table", delta, powerLawTableSize)
+		}
+	}
+	if got := NewPowerLaw(0.3).Delta(); got != 0.3 {
+		t.Errorf("Delta() = %v, want 0.3", got)
+	}
+	assertPanics(t, "NewPowerLaw(0)", func() { NewPowerLaw(0) })
+}
+
+// FuzzPowerLawMatchesOneOff checks the tabled sampler against the one-off
+// form and the reference for arbitrary (delta, seed).
+func FuzzPowerLawMatchesOneOff(f *testing.F) {
+	for i, delta := range []float64{0.1, 0.2, 0.5, 0.8, 1, 1.5, 1.99} {
+		f.Add(delta, uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, delta float64, seed uint64) {
+		// Below 1e-3 the Pareto envelope overflows on almost every proposal,
+		// so a single draw can take arbitrarily long; the samplers accept
+		// such δ but a fuzz input must finish.
+		if !(delta >= 1e-3 && delta < 2) {
+			t.Skip()
+		}
+		checkPowerLawParity(t, delta, seed, 64)
+	})
+}
+
+// BenchmarkPowerLaw compares the one-off and the tabled radius draw.
+func BenchmarkPowerLaw(b *testing.B) {
+	for _, delta := range []float64{0.2, 1} {
+		b.Run(fmt.Sprintf("oneoff/delta=%g", delta), func(b *testing.B) {
+			s := NewStream(1)
+			for i := 0; i < b.N; i++ {
+				_ = s.PowerLawRadius(delta)
+			}
+		})
+		b.Run(fmt.Sprintf("tabled/delta=%g", delta), func(b *testing.B) {
+			s, pl := NewStream(1), NewPowerLaw(delta)
+			for i := 0; i < b.N; i++ {
+				_ = pl.Radius(s)
+			}
+		})
+	}
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = NewPowerLaw(0.5)
+		}
+	})
 }

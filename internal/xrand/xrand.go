@@ -193,20 +193,85 @@ func (s *Stream) NormFloat64() float64 { return rand.New(source{s}).NormFloat64(
 // floor(U^(-1/delta)) and therefore needs no truncation. This is the radial
 // component of the harmonic distribution of Section 5 (the node is then
 // uniform on the L1 ring of radius r, giving p(u) ∝ 1/d(u)^(2+delta)).
+//
+// PowerLawRadius is the one-off form: it derives the sampler's constants on
+// every call. Code that draws many radii for one delta builds a PowerLaw once
+// and draws from it, which returns the same radii from the same stream.
 func (s *Stream) PowerLawRadius(delta float64) int {
+	p := powerLawConstants(delta)
+	return p.Radius(s)
+}
+
+// powerLawTableSize is the number of radii PowerLaw tables. The proposal
+// exceeds it with probability (N+1)^-δ: for the Lévy flights of E7 (δ = 1,
+// nearly all draws of the quick suite) one proposal in a thousand, for the
+// harmonic searchers of E6, E7 and E10 (δ in [0.1, 0.8]) about 4%.
+// Those fall back to math.Pow on the same arguments. The two tables take
+// 16 KiB per sampler.
+const powerLawTableSize = 1024
+
+// PowerLaw draws the radii of PowerLawRadius(delta) for one fixed delta with
+// the per-draw constants hoisted and the powers of small radii tabled: a
+// draw from a PowerLaw consumes the same stream values and returns the same
+// radius as PowerLawRadius(delta) (pinned by
+// TestPowerLawMatchesPowerLawRadius), at a fraction of the math.Pow calls.
+// A PowerLaw is read-only after NewPowerLaw and safe for concurrent use.
+type PowerLaw struct {
+	delta       float64
+	negInvDelta float64 // -1/δ, the envelope exponent
+	negTarget   float64 // -(1+δ), the target exponent
+	m           float64 // 2^(1+δ)/δ, the rejection constant
+	// mass[r] = r^-δ for 1 <= r <= len(target), so the proposal mass of r
+	// is mass[r] - mass[r+1]; target[r] = r^-(1+δ). Index 0 is unused. The
+	// one-off form leaves both nil and computes every power.
+	mass, target []float64
+}
+
+// NewPowerLaw returns the tabled sampler for delta > 0. Building it costs
+// about two thousand math.Pow calls, so callers build one per delta and
+// share it (see core.Harmonic and baseline.LevyFlight).
+func NewPowerLaw(delta float64) *PowerLaw {
+	p := powerLawConstants(delta)
+	p.mass = make([]float64, powerLawTableSize+2)
+	p.target = make([]float64, powerLawTableSize+1)
+	for r := 1; r <= powerLawTableSize+1; r++ {
+		p.mass[r] = math.Pow(float64(r), -delta)
+	}
+	for r := 1; r <= powerLawTableSize; r++ {
+		p.target[r] = math.Pow(float64(r), p.negTarget)
+	}
+	return &p
+}
+
+// powerLawConstants returns the untabled sampler for delta.
+func powerLawConstants(delta float64) PowerLaw {
 	if delta <= 0 {
 		panic("xrand: PowerLawRadius requires delta > 0")
 	}
 	// Proposal q(r) = P(floor(X) = r) = r^-delta - (r+1)^-delta where
 	// X = U^(-1/delta) is continuous Pareto(delta) on [1, ∞). The target is
 	// pi(r) ∝ r^-(1+delta) and pi(r) <= M·q(r) with M = 2^(1+delta)/delta.
-	m := math.Pow(2, 1+delta) / delta
+	return PowerLaw{
+		delta:       delta,
+		negInvDelta: -1 / delta,
+		negTarget:   -(1 + delta),
+		m:           math.Pow(2, 1+delta) / delta,
+	}
+}
+
+// Delta returns the sampler's tail exponent.
+func (p *PowerLaw) Delta() float64 { return p.delta }
+
+// Radius draws one radius from s.
+//
+//antlint:hotpath
+func (p *PowerLaw) Radius(s *Stream) int {
 	for {
 		u := s.Float64()
 		if u == 0 {
 			continue
 		}
-		x := math.Pow(u, -1/delta)
+		x := math.Pow(u, p.negInvDelta)
 		if x >= float64(math.MaxInt64/4) {
 			// Astronomically rare; resample rather than overflow.
 			continue
@@ -215,12 +280,18 @@ func (s *Stream) PowerLawRadius(delta float64) int {
 		if r < 1 {
 			r = 1
 		}
-		q := math.Pow(float64(r), -delta) - math.Pow(float64(r+1), -delta)
-		target := math.Pow(float64(r), -(1 + delta))
+		var q, target float64
+		if r < len(p.target) {
+			q = p.mass[r] - p.mass[r+1]
+			target = p.target[r]
+		} else {
+			q = math.Pow(float64(r), -p.delta) - math.Pow(float64(r+1), -p.delta)
+			target = math.Pow(float64(r), p.negTarget)
+		}
 		if q <= 0 {
 			continue
 		}
-		if s.Float64()*m*q < target {
+		if s.Float64()*p.m*q < target {
 			return r
 		}
 	}

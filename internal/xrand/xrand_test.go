@@ -250,9 +250,10 @@ func TestHarmonicPointDistribution(t *testing.T) {
 	s := NewStream(37)
 	const delta = 0.6
 	const n = 50000
+	pl := NewPowerLaw(delta)
 	counts := make(map[grid.Point]int)
 	for i := 0; i < n; i++ {
-		p := s.HarmonicPoint(delta)
+		p := s.HarmonicPoint(pl)
 		if p == grid.Origin {
 			t.Fatal("harmonic sample hit the origin; distribution excludes the source")
 		}
